@@ -13,10 +13,16 @@
 // path under the Table 1 unit times (the busiest lane's priced work, which
 // is machine-independent). Counter totals are asserted bit-identical across
 // worker counts: lanes may only change WHO does the work, never the work.
+// The operator-path part runs the whole plan, fragmented at dop 1/4/8 and
+// serial, and fails when the fragmented dop-4 wall exceeds 1.5x the serial
+// plan's (full mode, at least 4 hardware threads).
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <optional>
+#include <string>
+#include <vector>
 #include <thread>
 
 #include "bench/bench_util.h"
@@ -29,6 +35,12 @@
 
 namespace reldiv {
 namespace {
+
+/// Interleaved rounds of the operator-path comparison.
+constexpr int kOperatorRounds = 5;
+/// The fragmented plan at dop 4 may take at most this multiple of the
+/// serial plan's median wall time (full mode, >= 4 hardware threads).
+constexpr double kMaxVsSerialAtDop4 = 1.5;
 
 Status Run(bench::BenchReporter* report) {
   std::printf("=== Experiment E4: multi-processor hash-division (§6) "
@@ -262,54 +274,109 @@ Status RunIntraNode(bench::BenchReporter* report) {
   }
 
   // End-to-end operator path: the same plan driven through
-  // DivisionOptions::parallel_fragments + ExecContext::dop. The repartition
-  // adds one Hash per dividend tuple over the section above, but the totals
-  // must again be identical at every worker count.
-  std::printf("\nOperator path (DivisionOptions::parallel_fragments=%zu):\n",
-              kFragments);
+  // DivisionOptions::parallel_fragments + ExecContext::dop, against the
+  // serial plan (parallel_fragments = 0) as the wall-clock baseline. The
+  // repartition adds one Hash per dividend tuple over the section above,
+  // but the fragmented totals must again be identical at every worker
+  // count. The configurations run interleaved, round by round, so a drift
+  // in host speed hits all of them alike; each reports its median wall.
+  std::printf("\nOperator path (DivisionOptions::parallel_fragments=%zu vs "
+              "the serial plan, median of %d interleaved runs):\n",
+              kFragments, kOperatorRounds);
+  // The serial plan holds every candidate's bit map in one quotient table,
+  // which outgrows the paper's 256 KB pool at |Q|=2500 (the fragmented plan
+  // only holds its running fragments' tables), so both plans run on a
+  // database whose pool fits the serial one.
+  DatabaseOptions operator_db_options = bench::PaperDatabaseOptions();
+  operator_db_options.pool_bytes = 16 * kDefaultBufferPoolBytes;
+  RELDIV_ASSIGN_OR_RETURN(std::unique_ptr<Database> operator_db,
+                          Database::Open(operator_db_options));
+  ExecContext* operator_ctx = operator_db->ctx();
   Relation dividend, divisor;
-  RELDIV_RETURN_NOT_OK(
-      LoadWorkload(db.get(), workload, "intra", &dividend, &divisor));
+  RELDIV_RETURN_NOT_OK(LoadWorkload(operator_db.get(), workload, "intra",
+                                    &dividend, &divisor));
   DivisionQuery query{dividend, divisor, {"divisor_id"}};
-  DivisionOptions parallel_options;
-  parallel_options.parallel_fragments = kFragments;
-  CpuCounters op_totals1;
-  uint64_t op_quotient1 = 0;
-  for (size_t threads : {1, 4, 8}) {
-    ctx->set_dop(threads);
-    uint64_t quotient_size = 0;
-    Result<ExperimentalCost> cost = bench::RunDivision(
-        db.get(), query, DivisionAlgorithm::kHashDivision, parallel_options,
-        &quotient_size);
-    ctx->set_dop(1);
-    RELDIV_RETURN_NOT_OK(cost.status());
-    if (quotient_size != workload.expected_quotient.size()) {
-      return Status::Internal("operator-path quotient has the wrong size");
+  struct OperatorRun {
+    const char* label;
+    size_t fragments;  ///< DivisionOptions::parallel_fragments; 0 = serial
+    size_t dop;
+    std::vector<double> wall_ms;
+    ExperimentalCost cost;  ///< the last run's (counters are per-run fixed)
+  };
+  std::vector<OperatorRun> runs = {
+      {"serial", 0, 1, {}, {}},
+      {"dop=1", kFragments, 1, {}, {}},
+      {"dop=4", kFragments, 4, {}, {}},
+      {"dop=8", kFragments, 8, {}, {}},
+  };
+  std::optional<CpuCounters> fragmented_totals;
+  for (int round = 0; round < kOperatorRounds; ++round) {
+    for (OperatorRun& run : runs) {
+      DivisionOptions options;
+      options.parallel_fragments = run.fragments;
+      operator_ctx->set_dop(run.dop);
+      uint64_t quotient_size = 0;
+      Result<ExperimentalCost> cost = bench::RunDivision(
+          operator_db.get(), query, DivisionAlgorithm::kHashDivision, options,
+          &quotient_size);
+      operator_ctx->set_dop(1);
+      RELDIV_RETURN_NOT_OK(cost.status());
+      if (quotient_size != workload.expected_quotient.size()) {
+        return Status::Internal("operator-path quotient has the wrong size");
+      }
+      if (run.fragments > 0) {
+        const CpuCounters& got = cost.value().cpu_counters;
+        if (!fragmented_totals.has_value()) fragmented_totals = got;
+        if (got.comparisons != fragmented_totals->comparisons ||
+            got.hashes != fragmented_totals->hashes ||
+            got.moves != fragmented_totals->moves ||
+            got.bit_ops != fragmented_totals->bit_ops) {
+          return Status::Internal("operator-path counters moved with dop");
+        }
+      }
+      run.wall_ms.push_back(cost.value().wall_ms);
+      run.cost = cost.value();
     }
-    if (threads == 1) {
-      op_totals1 = cost.value().cpu_counters;
-      op_quotient1 = quotient_size;
-    }
-    if (cost.value().cpu_counters.comparisons != op_totals1.comparisons ||
-        cost.value().cpu_counters.hashes != op_totals1.hashes ||
-        cost.value().cpu_counters.moves != op_totals1.moves ||
-        cost.value().cpu_counters.bit_ops != op_totals1.bit_ops ||
-        quotient_size != op_quotient1) {
-      return Status::Internal("operator-path counters moved with dop");
-    }
-    std::printf("  dop=%zu: wall %.1f ms, cpu %.1f ms, io %.1f ms, "
-                "%llu rows (counters identical to dop=1)\n",
-                threads, cost.value().wall_ms, cost.value().cpu_ms,
-                cost.value().io_ms,
-                static_cast<unsigned long long>(quotient_size));
+  }
+  const double serial_ms = bench::PercentileNs(runs[0].wall_ms, 50);
+  double vs_serial_at_4 = 0;
+  for (OperatorRun& run : runs) {
+    const double wall = bench::PercentileNs(run.wall_ms, 50);
+    const bool fragmented = run.fragments > 0;
+    const double vs_serial = serial_ms > 0 ? wall / serial_ms : 0;
+    if (fragmented && run.dop == 4) vs_serial_at_4 = vs_serial;
+    std::printf("  %-6s: wall %.1f ms", run.label, wall);
+    if (fragmented) std::printf(" (%.2fx serial)", vs_serial);
+    std::printf(", cpu %.1f ms, io %.1f ms%s\n", run.cost.cpu_ms,
+                run.cost.io_ms,
+                fragmented ? ", counters identical to dop=1" : "");
     bench::BenchRow* row =
-        report->AddRow("operator dop=" + std::to_string(threads));
-    row->AddWallMs(cost.value().wall_ms);
-    row->counters += cost.value().cpu_counters;
-    row->io = cost.value().io_stats;
-    row->AddValue("cpu_ms", cost.value().cpu_ms);
-    row->AddValue("io_ms", cost.value().io_ms);
-    row->AddValue("quotient_tuples", static_cast<double>(quotient_size));
+        report->AddRow(std::string("operator ") + run.label);
+    for (double ms : run.wall_ms) row->AddWallMs(ms);
+    row->counters += run.cost.cpu_counters;
+    row->io = run.cost.io_stats;
+    row->AddValue("cpu_ms", run.cost.cpu_ms);
+    row->AddValue("io_ms", run.cost.io_ms);
+    row->AddValue("quotient_tuples",
+                  static_cast<double>(workload.expected_quotient.size()));
+    if (fragmented) row->AddValue("vs_serial", vs_serial);
+  }
+  // Regression guard: the fragmented plan must not fall far behind the
+  // serial one where there are cores to run it on. Smoke workloads are too
+  // small for a wall-clock verdict.
+  const unsigned hw_threads = std::thread::hardware_concurrency();
+  if (bench::SmokeMode() || hw_threads < 4) {
+    std::printf("  vs_serial gate skipped (%s): dop=4 reads %.2fx serial\n",
+                bench::SmokeMode() ? "smoke mode" : "fewer than 4 hardware "
+                                                    "threads",
+                vs_serial_at_4);
+  } else if (vs_serial_at_4 > kMaxVsSerialAtDop4) {
+    char message[128];
+    std::snprintf(message, sizeof message,
+                  "operator-path dop=4 wall is %.2fx the serial plan's, "
+                  "above the %.1fx gate",
+                  vs_serial_at_4, kMaxVsSerialAtDop4);
+    return Status::Internal(message);
   }
 
   std::printf(
@@ -319,7 +386,7 @@ Status RunIntraNode(bench::BenchReporter* report) {
       "(work stealing can only beat it). Counter totals\nare asserted "
       "bit-identical across worker counts: only lane ASSIGNMENT varies with "
       "threads; decomposition never does.\n",
-      std::thread::hardware_concurrency());
+      hw_threads);
   return Status::OK();
 }
 

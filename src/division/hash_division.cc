@@ -423,34 +423,43 @@ Status RunDivisionFragments(ExecContext* ctx,
                             const std::vector<size_t>& quotient_attrs,
                             const DivisionOptions& options,
                             const HashDivisionCore& shared_core,
-                            const std::vector<std::vector<Tuple>>& buckets,
+                            ExchangeBuffer* buckets,
                             std::vector<Tuple>* results) {
-  const size_t fragments = buckets.size();
+  const size_t fragments = buckets->num_partitions();
   // Fragment decomposition fixed by the repartitioning, independent of
   // worker count; only the assignment of fragments to scheduler lanes varies
   // with dop. Each fragment charges a private context, merged in fragment
   // order below, so counter totals are reproducible at any thread count.
   FragmentContexts fragment_ctxs(ctx, fragments);
   std::vector<std::vector<Tuple>> outs(fragments);
+  auto divide_fragment = [&](size_t f) -> Status {
+    ExecContext* fctx = fragment_ctxs.fragment(f);
+    HashDivisionCore fragment_core(fctx, match_attrs, quotient_attrs,
+                                   options);
+    fragment_core.BorrowDivisorTable(shared_core);
+    // Size the fragment's quotient table from its own partition — the
+    // query-wide hint would oversize every fragment F-fold.
+    uint64_t hint = buckets->rows(f);
+    if (options.expected_quotient_cardinality != 0) {
+      hint = std::min<uint64_t>(hint, options.expected_quotient_cardinality);
+    }
+    RELDIV_RETURN_NOT_OK(
+        fragment_core.ResetQuotientTable(hint == 0 ? 1 : hint));
+    // ConsumeBatch counts exactly what per-tuple Consume would, so the
+    // batch granularity leaves every Table 1 total unchanged.
+    TupleBatch batch(fctx->batch_capacity());
+    size_t cursor = 0;
+    while (cursor < buckets->rows(f)) {
+      RELDIV_RETURN_NOT_OK(buckets->Read(f, &cursor, &batch));
+      RELDIV_RETURN_NOT_OK(fragment_core.ConsumeBatch(batch, nullptr));
+    }
+    return fragment_core.EmitComplete(&outs[f]);
+  };
   Status status = TaskScheduler::Global().ParallelFor(
       std::min(ctx->dop(), fragments), fragments, [&](size_t f) -> Status {
-        ExecContext* fctx = fragment_ctxs.fragment(f);
-        HashDivisionCore fragment_core(fctx, match_attrs, quotient_attrs,
-                                       options);
-        fragment_core.BorrowDivisorTable(shared_core);
-        // Size the fragment's quotient table from its own bucket — the
-        // query-wide hint would oversize every fragment F-fold.
-        uint64_t hint = buckets[f].size();
-        if (options.expected_quotient_cardinality != 0) {
-          hint = std::min<uint64_t>(hint,
-                                    options.expected_quotient_cardinality);
-        }
-        RELDIV_RETURN_NOT_OK(
-            fragment_core.ResetQuotientTable(hint == 0 ? 1 : hint));
-        for (const Tuple& dividend : buckets[f]) {
-          RELDIV_RETURN_NOT_OK(fragment_core.Consume(dividend, nullptr));
-        }
-        return fragment_core.EmitComplete(&outs[f]);
+        const Status divided = divide_fragment(f);
+        buckets->Release(f);  // freed on this lane, not by the caller
+        return divided;
       });
   // Merge fragment counters even on failure — counters stay monotone over
   // the work actually performed.
@@ -475,14 +484,14 @@ Status HashDivisionOperator::OpenParallel() {
                                              quotient_attrs_, options_);
   RELDIV_RETURN_NOT_OK(core_->BuildDivisorTable(divisor_.get()));
 
-  const size_t fragments = options_.parallel_fragments;
-  RELDIV_ASSIGN_OR_RETURN(std::vector<std::vector<Tuple>> buckets,
-                          DrainAndHashRepartition(ctx_, dividend_.get(),
-                                                  quotient_attrs_, fragments));
+  RELDIV_ASSIGN_OR_RETURN(
+      ExchangeBuffer buckets,
+      DrainAndHashRepartition(ctx_, dividend_.get(), quotient_attrs_,
+                              options_.parallel_fragments));
   dividend_done_ = true;  // DrainAndHashRepartition closed the input
 
   return RunDivisionFragments(ctx_, match_attrs_, quotient_attrs_, options_,
-                              *core_, buckets, &results_);
+                              *core_, &buckets, &results_);
 }
 
 Status HashDivisionOperator::Next(Tuple* tuple, bool* has_next) {

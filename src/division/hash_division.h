@@ -157,19 +157,24 @@ class HashDivisionCore {
   uint64_t early_emits_ = 0;
 };
 
+class ExchangeBuffer;
+
 /// The fragment-parallel half of §6 quotient partitioning in-process, shared
 /// by HashDivisionOperator::OpenParallel and the fused hash-division
-/// pipeline: each bucket of the (already repartitioned) dividend is divided
-/// by a private core borrowing `shared_core`'s divisor table on a private
-/// counter context, and the fragment outputs are concatenated into `results`
-/// in fragment order — deterministic for any worker count. Fragment counters
-/// merge into `ctx` in fragment order even on failure.
+/// pipeline: each partition of the (already repartitioned) dividend is
+/// divided by a private core borrowing `shared_core`'s divisor table on a
+/// private counter context. A fragment decodes its partition a batch at a
+/// time into one reused TupleBatch, probes it through ConsumeBatch, and
+/// releases the partition inside its own task. The fragment outputs are
+/// concatenated into `results` in fragment order — deterministic for any
+/// worker count. Fragment counters merge into `ctx` in fragment order even
+/// on failure.
 Status RunDivisionFragments(ExecContext* ctx,
                             const std::vector<size_t>& match_attrs,
                             const std::vector<size_t>& quotient_attrs,
                             const DivisionOptions& options,
                             const HashDivisionCore& shared_core,
-                            const std::vector<std::vector<Tuple>>& buckets,
+                            ExchangeBuffer* buckets,
                             std::vector<Tuple>* results);
 
 /// Hash-division (§3): the paper's new algorithm. Two hash tables — the

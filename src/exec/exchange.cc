@@ -1,5 +1,6 @@
 #include "exec/exchange.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "common/check.h"
@@ -46,6 +47,9 @@ FragmentContexts::FragmentContexts(ExecContext* parent, size_t num_fragments)
     ctx->set_hash_memory_bytes(parent->hash_memory_bytes());
     ctx->set_batch_capacity(parent->batch_capacity());
     ctx->set_contract_checks(parent->contract_checks());
+    // A cancelled query stops its fragments too: they poll the same flag
+    // at every batch boundary.
+    ctx->set_cancellation_flag(parent->cancellation_flag());
     // Profiling stays off in fragments: their work reports through the
     // parent plan's lane nodes, not as free-standing profile roots.
     if (parent->trace() != nullptr) ctx->set_trace(parent->trace());
@@ -211,29 +215,63 @@ void ExchangeOperator::ExportGauges(GaugeList* gauges) const {
                        static_cast<double>(last_dop_));
 }
 
-Result<std::vector<std::vector<Tuple>>> DrainAndHashRepartition(
+ExchangeBuffer::ExchangeBuffer(Schema schema, size_t num_partitions)
+    : codec_(std::move(schema)), partitions_(num_partitions) {
+  RELDIV_CHECK(num_partitions > 0);
+}
+
+Status ExchangeBuffer::Route(ExecContext* ctx, const TupleBatch& batch,
+                             const std::vector<size_t>& key_attrs) {
+  for (const Tuple& tuple : batch) {
+    ctx->CountHashes(1);  // one partitioning-function application (§3.4)
+    Partition& part =
+        partitions_[HashPartitionOf(tuple, key_attrs, partitions_.size())];
+    RELDIV_RETURN_NOT_OK(codec_.Encode(tuple, &part.bytes));
+    part.ends.push_back(part.bytes.size());
+  }
+  return Status::OK();
+}
+
+Status ExchangeBuffer::Read(size_t p, size_t* cursor, TupleBatch* batch) const {
+  batch->Clear();
+  const Partition& part = partitions_[p];
+  const size_t end = std::min(part.ends.size(), *cursor + batch->capacity());
+  size_t begin = *cursor == 0 ? 0 : part.ends[*cursor - 1];
+  for (size_t row = *cursor; row < end; ++row) {
+    // Decode overwrites the whole slot, so its value buffers are reused.
+    RELDIV_RETURN_NOT_OK(
+        codec_.Decode(Slice(part.bytes.data() + begin, part.ends[row] - begin),
+                      batch->AddSlotForOverwrite()));
+    begin = part.ends[row];
+  }
+  *cursor = end;
+  return Status::OK();
+}
+
+void ExchangeBuffer::Release(size_t p) {
+  Partition& part = partitions_[p];
+  part.bytes.clear();
+  part.bytes.shrink_to_fit();
+  part.ends.clear();
+  part.ends.shrink_to_fit();
+}
+
+Result<ExchangeBuffer> DrainAndHashRepartition(
     ExecContext* ctx, Operator* source, const std::vector<size_t>& key_attrs,
     size_t num_partitions) {
-  RELDIV_CHECK(num_partitions > 0);
-  std::vector<std::vector<Tuple>> buckets(num_partitions);
+  ExchangeBuffer buffer(source->output_schema(), num_partitions);
   RELDIV_RETURN_NOT_OK(source->Open());
   TupleBatch batch(ctx->batch_capacity());
   bool has_more = true;
   Status status;
-  while (has_more) {
+  while (has_more && status.ok()) {
     status = source->NextBatch(&batch, &has_more);
-    if (!status.ok()) break;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      Tuple& tuple = batch.tuple(i);
-      ctx->CountHashes(1);  // one partitioning-function application (§3.4)
-      buckets[HashPartitionOf(tuple, key_attrs, num_partitions)].push_back(
-          std::move(tuple));
-    }
+    if (status.ok()) status = buffer.Route(ctx, batch, key_attrs);
   }
   const Status close = source->Close();
   if (status.ok()) status = close;
   RELDIV_RETURN_NOT_OK(status);
-  return buckets;
+  return buffer;
 }
 
 }  // namespace reldiv

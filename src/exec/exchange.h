@@ -1,13 +1,13 @@
 #ifndef RELDIV_EXEC_EXCHANGE_H_
 #define RELDIV_EXEC_EXCHANGE_H_
 
-#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/row_codec.h"
 #include "exec/exec_context.h"
 #include "exec/operator.h"
 
@@ -49,57 +49,6 @@ class FragmentContexts {
   std::vector<CpuCounters> counters_;  // sized once; pointer-stable
   std::vector<std::unique_ptr<ExecContext>> contexts_;
   bool merged_ = false;
-};
-
-/// Batch-native source over a slice [begin, end) of a shared tuple vector.
-/// The exchange machinery hands each fragment one of these so parallel
-/// fragments read disjoint slices of one materialized input without
-/// duplicating it (the in-process analogue of a parallel scan split).
-class VectorSliceOperator : public Operator {
- public:
-  /// `tuples` is borrowed and must stay alive and unmodified while open.
-  VectorSliceOperator(Schema schema, const std::vector<Tuple>* tuples,
-                      size_t begin, size_t end)
-      : schema_(std::move(schema)),
-        tuples_(tuples),
-        begin_(begin),
-        end_(std::min(end, tuples->size())) {}
-
-  const Schema& output_schema() const override { return schema_; }
-  bool IsBatchNative() const override { return true; }
-
-  Status Open() override {
-    next_ = begin_;
-    return Status::OK();
-  }
-
-  Status Next(Tuple* tuple, bool* has_next) override {
-    if (next_ >= end_) {
-      *has_next = false;
-      return Status::OK();
-    }
-    *tuple = (*tuples_)[next_++];
-    *has_next = true;
-    return Status::OK();
-  }
-
-  Status NextBatch(TupleBatch* batch, bool* has_more) override {
-    batch->Clear();
-    const size_t n = std::min(batch->capacity(), end_ - next_);
-    for (size_t i = 0; i < n; ++i) batch->PushBack((*tuples_)[next_ + i]);
-    next_ += n;
-    *has_more = next_ < end_;
-    return Status::OK();
-  }
-
-  Status Close() override { return Status::OK(); }
-
- private:
-  Schema schema_;
-  const std::vector<Tuple>* tuples_;
-  size_t begin_;
-  size_t end_;
-  size_t next_ = 0;
 };
 
 /// Gather policy of an ExchangeOperator.
@@ -169,13 +118,57 @@ class ExchangeOperator : public Operator {
   size_t last_dop_ = 1;  ///< lanes used by the most recent Open
 };
 
-/// Drains `source` (open → batches → close) and routes every tuple into
-/// `num_partitions` buckets by hash of `key_attrs` (the §3.4/§6 partitioning
-/// function via parallel/partitioner.h), counting one Hash per routed tuple
-/// on `ctx`. The serial repartition half of an in-process hash exchange:
-/// bucket contents depend only on the data and the partition count, never
-/// on the worker count.
-Result<std::vector<std::vector<Tuple>>> DrainAndHashRepartition(
+/// The dividend side of an in-process hash exchange: the rows routed to each
+/// of `num_partitions` partitions, held RowCodec-encoded (the record format
+/// of the pages) rather than as one heap allocation per Tuple. Each
+/// partition is one contiguous byte buffer of rows laid back to back plus
+/// the end offset of every row, so variable-width (string) rows need no
+/// fixed stride.
+///
+/// Route() applies the §3.4/§6 partitioning function (parallel/partitioner.h)
+/// and charges one Hash per routed tuple; the encode on the way in and the
+/// decode on the way out are uncharged physical copies, as tuple hand-offs
+/// between operators are, so Table 1 totals do not depend on the buffer.
+/// Partition contents depend only on the data and the partition count,
+/// never on the worker count. Concurrent fragments may Read() and Release()
+/// distinct partitions.
+class ExchangeBuffer {
+ public:
+  ExchangeBuffer(Schema schema, size_t num_partitions);
+
+  size_t num_partitions() const { return partitions_.size(); }
+  /// Rows held by partition `p`.
+  size_t rows(size_t p) const { return partitions_[p].ends.size(); }
+
+  /// Encodes every tuple of `batch` into the partition its `key_attrs` hash
+  /// to, counting one Hash per tuple on `ctx`. InvalidArgument when a tuple
+  /// does not match the schema.
+  Status Route(ExecContext* ctx, const TupleBatch& batch,
+               const std::vector<size_t>& key_attrs);
+
+  /// Decodes partition `p`'s rows from row `*cursor` on into `batch`
+  /// (cleared first, filled up to its capacity with reused slots) and
+  /// advances `*cursor`. An empty batch means the partition is exhausted.
+  Status Read(size_t p, size_t* cursor, TupleBatch* batch) const;
+
+  /// Frees partition `p`'s storage; the fragment that consumed it calls
+  /// this, so the buffers are freed concurrently rather than by the caller.
+  void Release(size_t p);
+
+ private:
+  struct Partition {
+    std::string bytes;         ///< encoded rows, back to back
+    std::vector<size_t> ends;  ///< end offset of each row in `bytes`
+  };
+
+  RowCodec codec_;
+  std::vector<Partition> partitions_;
+};
+
+/// Drains `source` (open → batches → close) into an ExchangeBuffer of
+/// `num_partitions` partitions keyed on `key_attrs`: the serial repartition
+/// half of an in-process hash exchange.
+Result<ExchangeBuffer> DrainAndHashRepartition(
     ExecContext* ctx, Operator* source, const std::vector<size_t>& key_attrs,
     size_t num_partitions);
 

@@ -100,6 +100,7 @@ class ExecContext {
   void set_cancellation_flag(const std::atomic<bool>* flag) {
     cancel_flag_ = flag;
   }
+  const std::atomic<bool>* cancellation_flag() const { return cancel_flag_; }
   bool cancelled() const {
     return cancel_flag_ != nullptr &&
            cancel_flag_->load(std::memory_order_relaxed);

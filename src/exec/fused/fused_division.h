@@ -8,8 +8,8 @@
 #include "common/metric_names.h"
 #include "division/division.h"
 #include "division/hash_division.h"
+#include "exec/exchange.h"
 #include "exec/fused/fused_pipeline.h"
-#include "parallel/partitioner.h"
 
 namespace reldiv {
 namespace fused {
@@ -165,17 +165,15 @@ class FusedHashDivision final
 
   Status OpenParallelImpl() {
     // The fused form of HashDivisionOperator::OpenParallel: the divisor
-    // table is built once; the drain→filter→repartition loop below charges
-    // one Hash per routed tuple through HashPartitionOf, exactly like
-    // DrainAndHashRepartition, and the fragment run is the shared
-    // RunDivisionFragments — so counter totals and output order match the
-    // virtual parallel plan at any dop.
+    // table is built once; the drain→filter loop below routes every batch
+    // through the same ExchangeBuffer::Route as DrainAndHashRepartition, and
+    // the fragment run is the shared RunDivisionFragments — so counter
+    // totals and output order match the virtual parallel plan at any dop.
     core_ = std::make_unique<HashDivisionCore>(ctx_, match_attrs_,
                                                quotient_attrs_, options_);
     RELDIV_RETURN_NOT_OK(core_->BuildDivisorTable(divisor_.get()));
 
-    const size_t fragments = options_.parallel_fragments;
-    std::vector<std::vector<Tuple>> buckets(fragments);
+    ExchangeBuffer buckets(source_.schema(), options_.parallel_fragments);
     RELDIV_RETURN_NOT_OK(source_.Open());
     source_open_ = true;
     PrepareInputBatch();
@@ -185,11 +183,8 @@ class FusedHashDivision final
       input_batch_.Clear();
       status = source_.NextBatchInto(&input_batch_, &has_more);
       if (status.ok()) status = filter_.Apply(&input_batch_);
-      if (!status.ok()) break;
-      for (Tuple& tuple : input_batch_) {
-        ctx_->CountHashes(1);
-        const size_t p = HashPartitionOf(tuple, quotient_attrs_, fragments);
-        buckets[p].push_back(std::move(tuple));
+      if (status.ok()) {
+        status = buckets.Route(ctx_, input_batch_, quotient_attrs_);
       }
     }
     // Close on success AND on error; the drain error wins (the idiom of
@@ -201,7 +196,7 @@ class FusedHashDivision final
     source_done_ = true;
 
     return RunDivisionFragments(ctx_, match_attrs_, quotient_attrs_, options_,
-                                *core_, buckets, &results_);
+                                *core_, &buckets, &results_);
   }
 
   ExecContext* ctx_;

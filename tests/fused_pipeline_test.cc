@@ -54,16 +54,29 @@ class FusedPipelineTest : public ::testing::Test {
   }
 
   std::unique_ptr<Operator> MakeVirtual(const DivisionOptions& options) {
+    return MakeVirtual(options, dividend_, divisor_, resolved_);
+  }
+
+  std::unique_ptr<Operator> MakeVirtual(const DivisionOptions& options,
+                                        const Relation& dividend,
+                                        const Relation& divisor,
+                                        const ResolvedDivision& resolved) {
     return std::make_unique<HashDivisionOperator>(
-        db_->ctx(), std::make_unique<ScanOperator>(db_->ctx(), dividend_),
-        std::make_unique<ScanOperator>(db_->ctx(), divisor_),
-        resolved_.match_attrs, resolved_.quotient_attrs, options);
+        db_->ctx(), std::make_unique<ScanOperator>(db_->ctx(), dividend),
+        std::make_unique<ScanOperator>(db_->ctx(), divisor),
+        resolved.match_attrs, resolved.quotient_attrs, options);
   }
 
   std::unique_ptr<Operator> MakeFused(const DivisionOptions& options) {
+    return MakeFused(options, divisor_, resolved_);
+  }
+
+  std::unique_ptr<Operator> MakeFused(const DivisionOptions& options,
+                                      const Relation& divisor,
+                                      const ResolvedDivision& resolved) {
     return fused::MakeFusedHashDivision(
-        db_->ctx(), resolved_,
-        std::make_unique<ScanOperator>(db_->ctx(), divisor_), options);
+        db_->ctx(), resolved,
+        std::make_unique<ScanOperator>(db_->ctx(), divisor), options);
   }
 
   /// Runs a freshly built plan cold and captures quotient + counter deltas.
@@ -136,6 +149,26 @@ TEST_F(FusedPipelineTest, MatchesVirtualInEveryModeAtEveryDop) {
       ExpectIdentical(virt, fus,
                       std::string(mode.name) + " dop=" + std::to_string(dop));
     }
+  }
+
+  // parallel_fragments again over a string quotient attribute: both lanes
+  // route variable-width rows through the encoded exchange buffer.
+  const GeneratedWorkload named = WithStringQuotient(workload_);
+  Relation dividend, divisor;
+  ASSERT_OK(LoadWorkload(db_.get(), named, "fp_named", &dividend, &divisor));
+  ASSERT_OK_AND_ASSIGN(ResolvedDivision resolved,
+                       ResolveDivision({dividend, divisor, {"divisor_id"}}));
+  DivisionOptions options;
+  options.parallel_fragments = 5;
+  ASSERT_OK_AND_ASSIGN(
+      RunOutcome virt,
+      Run(MakeVirtual(options, dividend, divisor, resolved)));
+  EXPECT_EQ(Sorted(virt.quotient), named.expected_quotient);
+  for (size_t dop : {1, 4, 8}) {
+    ASSERT_OK_AND_ASSIGN(RunOutcome fus,
+                         Run(MakeFused(options, divisor, resolved), dop));
+    ExpectIdentical(virt, fus,
+                    "string parallel_fragments dop=" + std::to_string(dop));
   }
 }
 

@@ -7,11 +7,15 @@
 // a fixed order. tools/check_all.sh re-runs this binary under TSan at
 // RELDIV_THREADS=1,4,8.
 
+#include <atomic>
 #include <string>
 #include <vector>
 
 #include "division/division.h"
+#include "division/hash_division.h"
 #include "exec/database.h"
+#include "exec/exchange.h"
+#include "exec/scan.h"
 #include "gtest/gtest.h"
 #include "testing/failpoint.h"
 #include "tests/test_util.h"
@@ -52,6 +56,12 @@ class IntraParallelTest : public ::testing::Test {
   /// every run starts from the same storage state.
   Result<RunOutcome> RunAt(size_t dop, DivisionAlgorithm algorithm,
                            const DivisionOptions& options) {
+    return RunAt(dop, Query(), algorithm, options);
+  }
+
+  Result<RunOutcome> RunAt(size_t dop, const DivisionQuery& query,
+                           DivisionAlgorithm algorithm,
+                           const DivisionOptions& options) {
     ExecContext* ctx = db_->ctx();
     RELDIV_RETURN_NOT_OK(db_->buffer_manager()->FlushAll());
     RELDIV_RETURN_NOT_OK(db_->buffer_manager()->DropAll());
@@ -61,7 +71,7 @@ class IntraParallelTest : public ::testing::Test {
     ctx->ResetMoveAccumulator();
     const CpuCounters before = *ctx->counters();
     Result<std::vector<Tuple>> quotient =
-        Divide(ctx, Query(), algorithm, options);
+        Divide(ctx, query, algorithm, options);
     const CpuCounters after = *ctx->counters();
     ctx->set_dop(1);
     RELDIV_RETURN_NOT_OK(quotient.status());
@@ -78,6 +88,35 @@ class IntraParallelTest : public ::testing::Test {
     EXPECT_EQ(run.cpu.hashes, base.cpu.hashes) << what;
     EXPECT_EQ(run.cpu.moves, base.cpu.moves) << what;
     EXPECT_EQ(run.cpu.bit_ops, base.cpu.bit_ops) << what;
+  }
+
+  /// The serial plan's sorted quotient is `expected`; for each fragment
+  /// count the sorted quotient matches it, and the emission order and all
+  /// four counters stay identical from dop 1 to dop 4 and 8.
+  void ExpectFragmentLaneEquivalence(const DivisionQuery& query,
+                                     const std::vector<Tuple>& expected) {
+    ASSERT_OK_AND_ASSIGN(
+        RunOutcome serial,
+        RunAt(1, query, DivisionAlgorithm::kHashDivision, DivisionOptions{}));
+    EXPECT_EQ(Sorted(serial.quotient), expected);
+    for (size_t fragments : {1u, 3u, 8u}) {
+      DivisionOptions options;
+      options.parallel_fragments = fragments;
+      // The fragment count fixes the decomposition (and with it the exact
+      // counter totals); the worker count must not move either.
+      ASSERT_OK_AND_ASSIGN(
+          RunOutcome base,
+          RunAt(1, query, DivisionAlgorithm::kHashDivision, options));
+      EXPECT_EQ(Sorted(base.quotient), expected) << fragments << " fragments";
+      for (size_t dop : {4u, 8u}) {
+        ASSERT_OK_AND_ASSIGN(
+            RunOutcome run,
+            RunAt(dop, query, DivisionAlgorithm::kHashDivision, options));
+        ExpectIdentical(base, run,
+                        std::to_string(fragments) + " fragments at dop " +
+                            std::to_string(dop));
+      }
+    }
   }
 
   GeneratedWorkload workload_;
@@ -118,28 +157,62 @@ TEST_F(IntraParallelTest, AllAlgorithmsAreLaneEquivalentAcrossWorkerCounts) {
 }
 
 TEST_F(IntraParallelTest, ParallelFragmentsAreLaneEquivalentPerFragmentCount) {
-  ASSERT_OK_AND_ASSIGN(
-      RunOutcome serial,
-      RunAt(1, DivisionAlgorithm::kHashDivision, DivisionOptions{}));
-  EXPECT_EQ(Sorted(serial.quotient), workload_.expected_quotient);
-  for (size_t fragments : {1u, 3u, 8u}) {
-    DivisionOptions options;
-    options.parallel_fragments = fragments;
-    // The fragment count fixes the decomposition (and with it the exact
-    // counter totals); the worker count must not move either.
-    ASSERT_OK_AND_ASSIGN(
-        RunOutcome base, RunAt(1, DivisionAlgorithm::kHashDivision, options));
-    EXPECT_EQ(Sorted(base.quotient), workload_.expected_quotient)
-        << fragments << " fragments";
-    for (size_t dop : {4u, 8u}) {
-      ASSERT_OK_AND_ASSIGN(
-          RunOutcome run,
-          RunAt(dop, DivisionAlgorithm::kHashDivision, options));
-      ExpectIdentical(base, run,
-                      std::to_string(fragments) + " fragments at dop " +
-                          std::to_string(dop));
-    }
+  ExpectFragmentLaneEquivalence(Query(), workload_.expected_quotient);
+}
+
+TEST_F(IntraParallelTest, ParallelFragmentsCarryVariableWidthRows) {
+  // A string quotient attribute makes every encoded exchange row
+  // variable-width, so fragments must find row boundaries through the
+  // row offsets rather than a fixed stride.
+  const GeneratedWorkload named = WithStringQuotient(workload_);
+  Relation dividend, divisor;
+  ASSERT_OK(LoadWorkload(db_.get(), named, "named", &dividend, &divisor));
+  ExpectFragmentLaneEquivalence({dividend, divisor, {"divisor_id"}},
+                                named.expected_quotient);
+}
+
+TEST_F(IntraParallelTest, FragmentContextsInheritTheCancellationFlag) {
+  std::atomic<bool> cancel{false};
+  db_->ctx()->set_cancellation_flag(&cancel);
+  FragmentContexts fragments(db_->ctx(), 4);
+  for (size_t i = 0; i < fragments.size(); ++i) {
+    EXPECT_FALSE(fragments.fragment(i)->cancelled()) << "fragment " << i;
   }
+  cancel.store(true);
+  for (size_t i = 0; i < fragments.size(); ++i) {
+    EXPECT_TRUE(fragments.fragment(i)->cancelled()) << "fragment " << i;
+  }
+  db_->ctx()->set_cancellation_flag(nullptr);
+}
+
+TEST_F(IntraParallelTest, CancellationStopsTheFragmentsThemselves) {
+  // The flag goes up only after the divisor build and the repartition, so
+  // nothing but the fragments' own batch-boundary polls can observe it.
+  ExecContext* ctx = db_->ctx();
+  ASSERT_OK_AND_ASSIGN(ResolvedDivision resolved, ResolveDivision(Query()));
+  DivisionOptions options;
+  options.parallel_fragments = 8;
+  HashDivisionCore core(ctx, resolved.match_attrs, resolved.quotient_attrs,
+                        options);
+  ScanOperator divisor(ctx, divisor_);
+  ASSERT_OK(core.BuildDivisorTable(&divisor));
+  ScanOperator dividend(ctx, dividend_);
+  ASSERT_OK_AND_ASSIGN(
+      ExchangeBuffer buckets,
+      DrainAndHashRepartition(ctx, &dividend, resolved.quotient_attrs,
+                              options.parallel_fragments));
+
+  std::atomic<bool> cancel{true};
+  ctx->set_cancellation_flag(&cancel);
+  ctx->set_dop(4);
+  std::vector<Tuple> quotient;
+  const Status status =
+      RunDivisionFragments(ctx, resolved.match_attrs, resolved.quotient_attrs,
+                           options, core, &buckets, &quotient);
+  ctx->set_dop(1);
+  ctx->set_cancellation_flag(nullptr);
+  EXPECT_TRUE(status.IsCancelled()) << status.ToString();
+  EXPECT_TRUE(quotient.empty());
 }
 
 TEST_F(IntraParallelTest, PartitionedStrategiesAreLaneEquivalent) {

@@ -1,6 +1,7 @@
 #include "tests/test_util.h"
 
 #include <map>
+#include <string>
 
 namespace reldiv {
 
@@ -26,6 +27,34 @@ std::vector<Tuple> ReferenceDivision(
     if (seen.size() == divisor_set.size()) quotient.push_back(key);
   }
   return quotient;  // std::map iteration → already sorted
+}
+
+namespace {
+
+/// Unique per id: the digits end where the '.' padding starts.
+Value QuotientName(const Value& id) {
+  const size_t padding = static_cast<uint64_t>(id.int64()) % 7;
+  return Value::String("q" + std::to_string(id.int64()) +
+                       std::string(padding, '.'));
+}
+
+}  // namespace
+
+GeneratedWorkload WithStringQuotient(const GeneratedWorkload& workload) {
+  GeneratedWorkload out;
+  out.dividend_schema = Schema{Field{"quotient_name", ValueType::kString},
+                               workload.dividend_schema.field(1)};
+  out.divisor_schema = workload.divisor_schema;
+  out.divisor = workload.divisor;
+  for (const Tuple& tuple : workload.dividend) {
+    out.dividend.push_back(
+        Tuple{QuotientName(tuple.value(0)), tuple.value(1)});
+  }
+  for (const Tuple& tuple : workload.expected_quotient) {
+    out.expected_quotient.push_back(Tuple{QuotientName(tuple.value(0))});
+  }
+  std::sort(out.expected_quotient.begin(), out.expected_quotient.end());
+  return out;
 }
 
 }  // namespace reldiv

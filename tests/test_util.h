@@ -9,6 +9,7 @@
 #include "exec/database.h"
 #include "exec/relation.h"
 #include "gtest/gtest.h"
+#include "workload/generator.h"
 
 namespace reldiv {
 
@@ -47,6 +48,11 @@ std::vector<Tuple> ReferenceDivision(const std::vector<Tuple>& dividend,
                                      const std::vector<Tuple>& divisor,
                                      const std::vector<size_t>& match_attrs,
                                      const std::vector<size_t>& quotient_attrs);
+
+/// `workload` with its int64 quotient_id column replaced by a string name
+/// of varying length (divisor and divisor_id untouched), so every dividend
+/// row is variable-width. The expected quotient is renamed and re-sorted.
+GeneratedWorkload WithStringQuotient(const GeneratedWorkload& workload);
 
 /// Convenience constructors.
 inline Tuple T(int64_t a) { return Tuple{Value::Int64(a)}; }
