@@ -16,14 +16,20 @@
 // the surviving sixth pays the division probes. That is the regime the
 // refactor targets — per-tuple interpretation overhead dominating cheap
 // per-tuple work — and it is where tuple-at-a-time execution loses the most.
+//
+// A second section times the division kernels in both variants directly —
+// scalar reference vs SIMD — on flat arrays, giving per-kernel
+// `simd_speedup` ratios independent of the pipeline around them.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 
 #include "bench/bench_util.h"
+#include "common/rng.h"
 #include "division/hash_division.h"
 #include "exec/filter.h"
+#include "exec/kernels/kernels.h"
 #include "exec/scan.h"
 
 namespace reldiv {
@@ -218,17 +224,134 @@ Status Run(bench::BenchReporter* report) {
   return Status::OK();
 }
 
+// --- SIMD vs scalar kernel micro-section -----------------------------------
+
+/// Best-of-reps milliseconds for `iters` runs of `fn`.
+template <typename Fn>
+double TimeMs(int reps, int iters, Fn&& fn) {
+  double best = 1e300;
+  for (int r = 0; r < reps; ++r) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < iters; ++i) fn();
+    best = std::min(best, std::chrono::duration<double, std::milli>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count());
+  }
+  return best;
+}
+
+void RunKernelMicro(bench::BenchReporter* report) {
+  const size_t n = bench::SmokeMode() ? 1 << 12 : 1 << 20;
+  const int reps = bench::SmokeMode() ? 2 : 5;
+  const int iters = bench::SmokeMode() ? 2 : 8;
+  Rng rng(3);
+  std::vector<int64_t> keys(n);
+  for (int64_t& k : keys) k = static_cast<int64_t>(rng.Next());
+  std::vector<uint64_t> hashes(n);
+  std::vector<uint64_t> words(n / 64, ~uint64_t{0});
+  std::vector<uint8_t> mask(n);
+  volatile uint64_t sink = 0;  // defeats dead-code elimination
+
+  struct Kernel {
+    const char* name;
+    double scalar_ms;
+    double simd_ms;
+  };
+  std::vector<Kernel> kernels_run;
+
+  kernels_run.push_back(
+      {"hash_int64",
+       TimeMs(reps, iters,
+              [&] {
+                kernels::HashInt64KeysScalar(keys.data(), n, hashes.data());
+                sink = sink + hashes[0];
+              }),
+       !kernels::SimdAvailable()
+           ? 0
+           : TimeMs(reps, iters, [&] {
+               kernels::HashInt64KeysSimd(keys.data(), n, hashes.data());
+               sink = sink + hashes[0];
+             })});
+  kernels_run.push_back(
+      {"all_words_set",
+       TimeMs(reps, iters,
+              [&] {
+                sink = sink + (kernels::AllWordsSetScalar(words.data(), n)
+                                   ? 1
+                                   : 0);
+              }),
+       !kernels::SimdAvailable()
+           ? 0
+           : TimeMs(reps, iters, [&] {
+               sink = sink + (kernels::AllWordsSetSimd(words.data(), n)
+                                  ? 1
+                                  : 0);
+             })});
+  kernels_run.push_back(
+      {"popcount_words",
+       TimeMs(reps, iters,
+              [&] {
+                sink = sink + kernels::PopcountWordsScalar(words.data(),
+                                                     words.size());
+              }),
+       !kernels::SimdAvailable()
+           ? 0
+           : TimeMs(reps, iters, [&] {
+               sink = sink +
+                   kernels::PopcountWordsSimd(words.data(), words.size());
+             })});
+  kernels_run.push_back(
+      {"compare_int64",
+       TimeMs(reps, iters,
+              [&] {
+                sink = sink + kernels::CompareInt64Scalar(
+                    keys.data(), n, kernels::CmpOp::kLt, 0, mask.data());
+              }),
+       !kernels::SimdAvailable()
+           ? 0
+           : TimeMs(reps, iters, [&] {
+               sink = sink + kernels::CompareInt64Simd(
+                   keys.data(), n, kernels::CmpOp::kLt, 0, mask.data());
+             })});
+  (void)sink;
+
+  std::printf("=== Kernel micro: scalar vs SIMD, %zu elements ===\n\n", n);
+  std::printf("  %16s | %11s %11s %10s\n", "kernel", "scalar ms", "simd ms",
+              "speedup");
+  bench::Rule(56);
+  for (const Kernel& k : kernels_run) {
+    bench::BenchRow* row =
+        report->AddRow(std::string("kernel ") + k.name);
+    row->AddWallMs(k.scalar_ms);
+    row->AddValue("scalar_ms", k.scalar_ms);
+    row->AddValue("elements", static_cast<double>(n));
+    if (k.simd_ms > 0) {
+      row->AddValue("simd_ms", k.simd_ms);
+      row->AddValue("simd_speedup", k.scalar_ms / k.simd_ms);
+      std::printf("  %16s | %11.3f %11.3f %9.2fx\n", k.name, k.scalar_ms,
+                  k.simd_ms, k.scalar_ms / k.simd_ms);
+    } else {
+      std::printf("  %16s | %11.3f %11s %10s\n", k.name, k.scalar_ms, "n/a",
+                  "n/a");
+    }
+  }
+  std::printf("\n");
+}
+
 }  // namespace
 }  // namespace reldiv
 
 int main() {
   reldiv::bench::BenchReporter report("batch_vs_tuple");
   report.AddParam("smoke", reldiv::bench::SmokeMode() ? 1 : 0);
+  report.AddParam("simd_available",
+                  reldiv::kernels::SimdAvailable() ? 1 : 0);
   const reldiv::Status status = reldiv::Run(&report);
   if (!status.ok()) {
     std::fprintf(stderr, "batch_vs_tuple failed: %s\n",
                  status.ToString().c_str());
     return 1;
   }
+  reldiv::RunKernelMicro(&report);
   return report.WriteFile() ? 0 : 1;
 }

@@ -1,6 +1,6 @@
-// Telemetry overhead ablation (DESIGN.md §14): the fused hash-division hot
-// path — the tightest loop in the tree — executed under the three process
-// telemetry modes.
+// Telemetry overhead ablation (DESIGN.md §14): the batch-native
+// scan → filter → hash-division chain — the tree's hottest probe loop —
+// executed under the three process telemetry modes.
 //
 //   off        RELDIV_TELEMETRY=off semantics: every instrumentation site
 //              reduces to one relaxed mode load and a predicted branch.
@@ -22,9 +22,8 @@
 #include <cstdio>
 
 #include "bench/bench_util.h"
-#include "common/metric_names.h"
-#include "exec/fused/fused_division.h"
-#include "exec/kernels/kernels.h"
+#include "division/hash_division.h"
+#include "exec/filter.h"
 #include "exec/scan.h"
 #include "obs/telemetry.h"
 
@@ -51,15 +50,29 @@ struct Harness {
   std::unique_ptr<Database> db;
   ResolvedDivision resolved;
   DivisionOptions options;
-  fused::FusedFilter filter;
-  Relation divisor;
+  int64_t divisor_count = 0;
   uint64_t dividend_tuples = 0;
+
+  /// Scan → Filter(divisor_id < |S|) → HashDivisionOperator; the dividend is
+  /// (quotient_id, divisor_id) and foreign divisor values lie above |S|.
+  std::unique_ptr<Operator> MakePlan() const {
+    ExecContext* ctx = db->ctx();
+    const int64_t limit = divisor_count;
+    auto filter = std::make_unique<FilterOperator>(
+        std::make_unique<ScanOperator>(ctx, resolved.dividend),
+        [limit](const Tuple& t) { return t.value(1).int64() < limit; });
+    return std::make_unique<HashDivisionOperator>(
+        ctx, std::move(filter),
+        std::make_unique<ScanOperator>(ctx, resolved.divisor),
+        resolved.match_attrs, resolved.quotient_attrs, options);
+  }
 };
 
 Result<Harness> BuildHarness() {
-  // Same scan-heavy regime as bench/fused_ablation.cc: most tuples pay only
-  // the fused probe loop, which is exactly where telemetry overhead would
-  // show if any instrumentation leaked into the per-tuple path.
+  // Same scan-heavy regime as bench/batch_vs_tuple.cc: five sixths of the
+  // dividend pays only the scan and filter, the rest the hash-division
+  // probes — where telemetry overhead would show if any instrumentation
+  // leaked into the per-tuple path.
   WorkloadSpec spec;
   spec.divisor_cardinality = 50;
   spec.quotient_candidates = bench::SmokeMode() ? 80 : 2000;
@@ -73,17 +86,14 @@ Result<Harness> BuildHarness() {
   DatabaseOptions db_options;
   db_options.pool_bytes = 0;  // unbounded pool: keep the loop CPU-bound
   RELDIV_ASSIGN_OR_RETURN(h.db, Database::Open(db_options));
-  Relation dividend;
+  Relation dividend, divisor;
   RELDIV_RETURN_NOT_OK(
-      LoadWorkload(h.db.get(), workload, "to", &dividend, &h.divisor));
-  DivisionQuery query{dividend, h.divisor, {"divisor_id"}};
+      LoadWorkload(h.db.get(), workload, "to", &dividend, &divisor));
+  DivisionQuery query{dividend, divisor, {"divisor_id"}};
   RELDIV_ASSIGN_OR_RETURN(h.resolved, ResolveDivision(query));
   h.options.expected_divisor_cardinality = spec.divisor_cardinality;
   h.options.expected_quotient_cardinality = spec.quotient_candidates;
-  h.filter.enabled = true;
-  h.filter.column = 1;
-  h.filter.op = kernels::CmpOp::kLt;
-  h.filter.constant = static_cast<int64_t>(spec.divisor_cardinality);
+  h.divisor_count = static_cast<int64_t>(spec.divisor_cardinality);
   return h;
 }
 
@@ -95,10 +105,7 @@ Status MeasureLane(Harness* h, TelemetryMode mode, int repetitions,
       RELDIV_RETURN_NOT_OK(h->db->buffer_manager()->FlushAll());
       RELDIV_RETURN_NOT_OK(h->db->buffer_manager()->DropAll());
       const CpuCounters before = *h->db->counters();
-      std::unique_ptr<Operator> plan = fused::MakeFusedHashDivision(
-          h->db->ctx(), h->resolved,
-          std::make_unique<ScanOperator>(h->db->ctx(), h->divisor),
-          h->options, h->filter);
+      std::unique_ptr<Operator> plan = h->MakePlan();
       const double t0 = Now();
       RELDIV_ASSIGN_OR_RETURN(std::vector<Tuple> quotient,
                               CollectAll(plan.get()));
@@ -142,8 +149,8 @@ Status Run(bench::BenchReporter* report) {
         MeasureLane(&h, TelemetryMode::kSampling, 1, &warmup));
   }
 
-  std::printf("=== Telemetry overhead: fused hash-division under "
-              "off / counting / sampling ===\n\n");
+  std::printf("=== Telemetry overhead: scan -> filter -> hash-division "
+              "under off / counting / sampling ===\n\n");
   std::printf("dividend %llu tuples; best of %d runs per lane; gate: "
               "counting <= %.0f%% of off\n\n",
               static_cast<unsigned long long>(h.dividend_tuples), kRepetitions,

@@ -37,8 +37,6 @@ inline constexpr char kWrites[] = "writes";
 
 // ---- Per-operator gauges (Operator::ExportGauges keys; rendered by the
 // QueryProfile tree and EXPLAIN ANALYZE). ----
-inline constexpr char kGaugeFusedPipeline[] = "fused_pipeline";
-inline constexpr char kGaugeSimdKernels[] = "simd_kernels";
 inline constexpr char kGaugeBitmapFillRatio[] = "bitmap_fill_ratio";
 inline constexpr char kGaugeDivisorCount[] = "divisor_count";
 inline constexpr char kGaugeQuotientCandidates[] = "quotient_candidates";

@@ -13,11 +13,11 @@
 namespace reldiv {
 namespace kernels {
 
-/// Vectorized inner-loop kernels shared by the division operators, the sort
-/// family, and the fused pipelines (src/exec/fused/). Every kernel exists in
-/// two variants — a scalar reference implementation and a SIMD one — selected
-/// once per process by ActiveLevel(); callers use the dispatching entry
-/// points and never branch on the level themselves.
+/// Vectorized inner-loop kernels shared by the division operators and the
+/// sort family. Every kernel exists in two variants — a scalar reference
+/// implementation and a SIMD one — selected once per process by
+/// ActiveLevel(); callers use the dispatching entry points and never branch
+/// on the level themselves.
 ///
 /// Counter-accounting invariant (DESIGN.md §12): kernels perform PHYSICAL
 /// work only and never touch ExecContext counters. The caller charges the

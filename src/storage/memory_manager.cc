@@ -9,15 +9,15 @@
 
 namespace reldiv {
 
-bool MemoryPool::ReserveInner(size_t bytes, size_t* used_after) {
-  if (RELDIV_FAILPOINT_DENIED("memory/reserve")) return false;
+MemoryPool::Grant MemoryPool::ReserveInner(size_t bytes, size_t* used_after) {
+  if (RELDIV_FAILPOINT_DENIED("memory/reserve")) return Grant::kForcedDenial;
   while (true) {
     {
       MutexLock lock(mu_);
       if (used_ + bytes <= budget_) {
         used_ += bytes;
         *used_after = used_;
-        return true;
+        return Grant::kGranted;
       }
     }
     // Reclaim with the pool unlocked: the reclaimer re-enters the buffer
@@ -32,14 +32,14 @@ bool MemoryPool::ReserveInner(size_t bytes, size_t* used_after) {
       if (used_ + bytes <= budget_) {
         used_ += bytes;
         *used_after = used_;
-        return true;
+        return Grant::kGranted;
       }
-      return false;
+      return Grant::kNoSpace;
     }
   }
 }
 
-bool MemoryPool::Reserve(size_t bytes) {
+bool MemoryPool::Reserve(size_t bytes, bool* forced) {
   // Grant latency covers the whole decision including reclaimer passes —
   // the §3.4 pressure signal. Clock reads only under kSampling.
   const bool sample = Telemetry::sampling();
@@ -47,7 +47,9 @@ bool MemoryPool::Reserve(size_t bytes) {
   if (sample) start = std::chrono::steady_clock::now();
 
   size_t used_after = 0;
-  const bool granted = ReserveInner(bytes, &used_after);
+  const Grant grant = ReserveInner(bytes, &used_after);
+  const bool granted = grant == Grant::kGranted;
+  if (forced != nullptr) *forced = grant == Grant::kForcedDenial;
 
   if (Telemetry::counting()) {
     if (granted) {
@@ -93,7 +95,8 @@ bool MemoryPool::WaitForSpace(
 
 Status MemoryPool::ReserveWithDeadline(size_t bytes,
                                        std::chrono::milliseconds timeout) {
-  if (Reserve(bytes)) return Status::OK();
+  bool forced = false;
+  if (Reserve(bytes, &forced)) return Status::OK();
   if (Telemetry::counting()) {
     static TelemetryCounter* waits = MetricRegistry::Global().FindOrCreateCounter(
         metric_names::kMemGrantWaitsTotal);
@@ -101,15 +104,16 @@ Status MemoryPool::ReserveWithDeadline(size_t bytes,
   }
   const auto deadline = std::chrono::steady_clock::now() + timeout;
   while (true) {
-    // A denial with room in the pool is a forced failpoint denial or a lost
-    // race against a concurrent grant — waiting on the condvar would return
-    // immediately and degenerate into the busy spin this path replaces.
-    if (HasSpaceFor(bytes)) {
+    // A forced failpoint denial is not a lack of space: no Release lifts
+    // it, so fail now instead of waiting out the deadline. Any other denial
+    // waits, even if a Release has freed the space since — the wait then
+    // returns at once and the grant is retried.
+    if (forced) {
       return Status::ResourceExhausted(
           "memory grant of " + std::to_string(bytes) + " bytes denied");
     }
     if (!WaitForSpace(bytes, deadline)) break;
-    if (Reserve(bytes)) return Status::OK();
+    if (Reserve(bytes, &forced)) return Status::OK();
   }
   if (Telemetry::counting()) {
     static TelemetryCounter* timeouts =
@@ -134,7 +138,8 @@ void* Arena::Allocate(size_t bytes) {
       const std::chrono::milliseconds timeout = pool_->wait_timeout();
       bool deadline_set = false;
       std::chrono::steady_clock::time_point deadline;
-      while (!pool_->Reserve(chunk_size)) {
+      bool forced = false;
+      while (!pool_->Reserve(chunk_size, &forced)) {
         if (chunk_size > aligned) {
           // Adapt downward first: a small remaining budget should satisfy a
           // small allocation before anyone blocks.
@@ -146,10 +151,8 @@ void* Arena::Allocate(size_t bytes) {
         // pool's release condvar until another query frees memory or the
         // deadline passes (the old code re-polled Reserve in a busy spin,
         // letting two contending queries starve each other indefinitely).
-        // A denial with free space is failpoint-forced: also fail fast.
-        if (timeout.count() <= 0 || pool_->HasSpaceFor(chunk_size)) {
-          return nullptr;
-        }
+        // A failpoint-forced denial also fails fast.
+        if (timeout.count() <= 0 || forced) return nullptr;
         if (!deadline_set) {
           deadline = std::chrono::steady_clock::now() + timeout;
           deadline_set = true;

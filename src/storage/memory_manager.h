@@ -39,15 +39,16 @@ class MemoryPool {
   /// unfixed frames — §5.1 "shrinks as buffer slots are unfixed") is invoked
   /// repeatedly until enough space frees up or it reports nothing left.
   /// Out-of-line: this is the "memory/reserve" failpoint, which forces a
-  /// denial to trigger §3.4 overflow handling at adversarial moments.
-  bool Reserve(size_t bytes);
+  /// denial to trigger §3.4 overflow handling at adversarial moments. When
+  /// `forced` is given it reports whether a denial was that failpoint's
+  /// (true) or a lack of space (false) — only the latter is worth waiting on.
+  bool Reserve(size_t bytes, bool* forced = nullptr);
 
   /// Blocking grant for multi-query contention: Reserve(), and while the
   /// pool is full, park on the condition variable Release() signals — no
   /// busy spin — re-trying after each wakeup until `timeout` elapses, then
-  /// kResourceExhausted. A denial while the pool HAS room (the
-  /// "memory/reserve" failpoint, or a racing grant) also returns
-  /// kResourceExhausted immediately rather than spinning on the deadline.
+  /// kResourceExhausted. A forced "memory/reserve" failpoint denial returns
+  /// kResourceExhausted immediately rather than waiting out the deadline.
   Status ReserveWithDeadline(size_t bytes, std::chrono::milliseconds timeout);
 
   /// Parks until `bytes` would fit under the budget or `deadline` passes;
@@ -58,14 +59,6 @@ class MemoryPool {
   /// budget comes from a concurrent Unfix that needs that mutex.
   bool WaitForSpace(size_t bytes,
                     std::chrono::steady_clock::time_point deadline);
-
-  /// True when `bytes` currently fits under the budget (snapshot; a racing
-  /// grant can take the space immediately after). Distinguishes a forced or
-  /// raced denial from genuine exhaustion on the waiting paths.
-  bool HasSpaceFor(size_t bytes) const {
-    MutexLock lock(mu_);
-    return used_ + bytes <= budget_;
-  }
 
   /// Deadline the blocking callers (BufferManager::Fix, Arena chunk growth)
   /// apply when a grant is denied and nothing is reclaimable. Zero — the
@@ -109,10 +102,12 @@ class MemoryPool {
   }
 
  private:
+  enum class Grant { kGranted, kNoSpace, kForcedDenial };
+
   /// Grant/deny decision proper; Reserve wraps it with telemetry (denial
   /// counter, high-water gauge, grant-latency histogram when sampling).
   /// `used_after` reports the pool usage right after a successful grant.
-  bool ReserveInner(size_t bytes, size_t* used_after);
+  Grant ReserveInner(size_t bytes, size_t* used_after);
 
   /// Guards used_ and waiters_ only; budget_ is immutable and reclaimer_ is
   /// set once at setup (see class comment).

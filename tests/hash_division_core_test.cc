@@ -191,18 +191,45 @@ TEST_F(HashDivisionCoreTest, EarlyOutputConsumerMayStopEarly) {
   Schema divisor_schema{Field{"d", ValueType::kInt64}};
   DivisionOptions options;
   options.early_output = true;
-  HashDivisionOperator op(
-      db_->ctx(),
-      std::make_unique<MemSourceOperator>(dividend_schema, dividend_rows),
-      std::make_unique<MemSourceOperator>(divisor_schema,
-                                          std::vector<Tuple>{T(0), T(1)}),
-      {1}, {0}, options);
-  ASSERT_OK(op.Open());
-  Tuple tuple;
-  bool has = false;
-  ASSERT_OK(op.Next(&tuple, &has));
-  ASSERT_TRUE(has);
-  ASSERT_OK(op.Close());  // stream abandoned mid-way
+  auto make_op = [&] {
+    return std::make_unique<HashDivisionOperator>(
+        db_->ctx(),
+        std::make_unique<MemSourceOperator>(dividend_schema, dividend_rows),
+        std::make_unique<MemSourceOperator>(divisor_schema,
+                                            std::vector<Tuple>{T(0), T(1)}),
+        std::vector<size_t>{1}, std::vector<size_t>{0}, options);
+  };
+  {
+    auto op = make_op();
+    ASSERT_OK(op->Open());
+    Tuple tuple;
+    bool has = false;
+    ASSERT_OK(op->Next(&tuple, &has));
+    ASSERT_TRUE(has);
+    ASSERT_OK(op->Close());  // stream abandoned mid-way
+  }
+
+  // The Close() audit: pull one 8-slot batch with dividend input still
+  // pending, then Close. Every counter delta must be charged by the time
+  // NextBatch returns — an operator that buffered counts and flushed them
+  // in Close would show a difference between the two snapshots.
+  db_->ctx()->set_batch_capacity(16);  // 16 of the 100 rows per input batch
+  auto op = make_op();
+  const CpuCounters before = *db_->ctx()->counters();
+  ASSERT_OK(op->Open());
+  TupleBatch batch(8);
+  bool has_more = false;
+  ASSERT_OK(op->NextBatch(&batch, &has_more));
+  ASSERT_EQ(batch.size(), 8u);
+  ASSERT_TRUE(has_more) << "partial drain expected input left over";
+  const CpuCounters drained = *db_->ctx()->counters() - before;
+  EXPECT_GT(drained.hashes, 0u);
+  ASSERT_OK(op->Close());
+  const CpuCounters closed = *db_->ctx()->counters() - before;
+  EXPECT_EQ(closed.comparisons, drained.comparisons)
+      << "Close flushed buffered Comp counts";
+  EXPECT_EQ(closed.hashes, drained.hashes);
+  EXPECT_EQ(closed.bit_ops, drained.bit_ops);
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 #include "storage/buffer_manager.h"
 #include "storage/disk.h"
 #include "storage/memory_manager.h"
+#include "testing/failpoint.h"
 #include "tests/test_util.h"
 
 namespace reldiv {
@@ -93,6 +94,54 @@ TEST(MemoryPoolGrantTest, TwoQueriesContendOverOnePageBudget) {
   EXPECT_EQ(completed.load(), 2);
   EXPECT_EQ(pool.used(), 0u);
   EXPECT_LE(max_used.load(), pool.budget()) << "grants exceeded the budget";
+}
+
+TEST(MemoryPoolGrantTest, GrantRacingAReleaseWaitsInsteadOfFailing) {
+  // A Release landing between a denied Reserve and the wait used to read as
+  // a forced denial and fail the grant at once. Four threads cycling one
+  // page through the pool hit that window many times per run; every grant
+  // must still succeed within its (generous) deadline.
+  MemoryPool pool(kPageSize);
+  std::atomic<bool> go{false};
+  std::atomic<int> denials{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&pool, &go, &denials] {
+      while (!go.load()) std::this_thread::yield();
+      for (int i = 0; i < 10000; ++i) {
+        if (!pool.ReserveWithDeadline(kPageSize, milliseconds(5000)).ok()) {
+          denials.fetch_add(1);
+          continue;
+        }
+        std::this_thread::yield();  // hold the page while others are denied
+        pool.Release(kPageSize);
+      }
+    });
+  }
+  go.store(true);
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(denials.load(), 0) << "grants denied although a release came";
+  EXPECT_EQ(pool.used(), 0u);
+}
+
+TEST(MemoryPoolGrantTest, ForcedDenialFailsWithoutWaitingOutTheDeadline) {
+  MemoryPool pool(kPageSize);
+  pool.set_wait_timeout(milliseconds(5000));
+  ScopedFailpoint denied_grants("memory/reserve", FailpointPolicy::Always());
+  const auto start = steady_clock::now();
+  Status denied = pool.ReserveWithDeadline(kPageSize, milliseconds(5000));
+  EXPECT_TRUE(denied.IsResourceExhausted()) << denied.ToString();
+  Arena arena(&pool);
+  EXPECT_EQ(arena.Allocate(256), nullptr);
+  SimDisk disk;
+  BufferManager bm(&disk, &pool);
+  auto fixed = bm.Fix(0, /*create=*/true);
+  EXPECT_TRUE(fixed.status().IsResourceExhausted())
+      << fixed.status().ToString();
+  // The pool is empty, so no Release would ever lift these denials: all
+  // three must fail now, not after the 5 s deadline.
+  EXPECT_LT(steady_clock::now() - start, milliseconds(1000));
+  EXPECT_EQ(pool.used(), 0u);
 }
 
 TEST(MemoryPoolGrantTest, TortureEightThreadsUsedNeverExceedsBudget) {

@@ -30,7 +30,7 @@
 #                               sanitizer builds: injected disk/memory/
 #                               network faults must recover exactly or
 #                               unwind leak- and race-free — DESIGN.md §10)
-#   fused                      (fused pipelines vs virtual chains, both
+#   kernels                    (scalar vs SIMD batch kernels, both
 #                               sanitizers, worker counts 1/4/8)
 #   parallel                   (the division property + lane-equivalence +
 #                               scheduler suites at RELDIV_THREADS=1,4,8
@@ -166,7 +166,7 @@ bench_smoke() {
   out=$(mktemp -d) || return 1
   local benches=(table2_analytical table4_experimental selectivity_sweep
                  overflow_partitioning parallel_scaleup early_output
-                 algorithm_choice hbs_ablation batch_vs_tuple fused_ablation
+                 algorithm_choice hbs_ablation batch_vs_tuple
                  telemetry_overhead adaptive_replan service)
   local b
   for b in "${benches[@]}"; do
@@ -208,22 +208,21 @@ if [[ "$QUICK" == "0" ]]; then
   }
   stage "faults" faults
 
-  # Fused stage: the fused pipelines and the kernels behind them must agree
-  # with the virtual operator chains — same quotients, same Table 1 totals —
-  # under both sanitizers and at every interesting worker count (the fused
-  # parallel-fragment path shares the morsel scheduler; DESIGN.md §12).
-  fused_stage() {
+  # Kernels stage: every SIMD kernel must agree with its scalar reference
+  # under both sanitizers and at every interesting worker count (the kernels
+  # run inside the morsel-scheduled fragment probes; DESIGN.md §12).
+  kernels_stage() {
     local preset threads rc=0
     for preset in asan tsan; do
       for threads in 1 4 8; do
-        echo "-- fused suites under $preset, RELDIV_THREADS=$threads"
+        echo "-- kernel suite under $preset, RELDIV_THREADS=$threads"
         RELDIV_THREADS="$threads" ctest --preset "$preset" \
-          -R '(kernels_test|fused_pipeline_test)' || rc=1
+          -R 'kernels_test' || rc=1
       done
     done
     return "$rc"
   }
-  stage "fused" fused_stage
+  stage "kernels" kernels_stage
 
   # Parallel stage: the lane-equivalence contract (DESIGN.md §11) says the
   # worker count must never change a quotient or a Table 1 counter total.

@@ -22,16 +22,9 @@ whose suppressions additionally require a written rationale.
   kernel-virtual-next  code under src/exec/kernels/ must not call the
                     virtual Operator::NextBatch — kernels are the layer
                     BELOW the operator tree (plain loops over plain arrays)
-                    and must stay linkable without exec/operator.h, so the
-                    fused pipelines can inline them without pulling in
-                    virtual dispatch.
-  fused-value-access  per-tuple Value access (`.value(i)` / `->value(i)`)
-                    inside src/exec/fused/ — fused loop bodies must go
-                    through the batched kernels (column extraction, batched
-                    compare/hash), not re-introduce a tuple-at-a-time
-                    interpreter under the fused label. Setup/fallback code
-                    may annotate NOLINT(reldiv/fused-value-access) with a
-                    reason.
+                    and must stay linkable without exec/operator.h, so an
+                    operator's inner loop can inline them without pulling
+                    in virtual dispatch.
 
 Usage: tools/lint.py [--root DIR]
 Exit status: 0 when clean, 1 when any finding is reported.
@@ -102,7 +95,6 @@ class Linter:
     BARE_ASSERT_RE = re.compile(r"(?<![_\w])assert\s*\(")
     RAND_RE = re.compile(r"(?:std::)?\b(?:rand|srand)\s*\(")
     KERNEL_NEXTBATCH_RE = re.compile(r"(?:\.|->)\s*NextBatch\s*\(")
-    FUSED_VALUE_RE = re.compile(r"(?:\.|->)\s*value\s*\(")
 
     def lint_lines(self, path: Path, text: str):
         rel = str(path.relative_to(self.root))
@@ -127,15 +119,6 @@ class Linter:
                             "virtual NextBatch call inside the kernel "
                             "layer; kernels sit below the operator tree "
                             "and take plain arrays, never Operators")
-            if (rel.startswith("src/exec/fused/")
-                    and self.FUSED_VALUE_RE.search(line)
-                    and "fused-value-access" not in suppressed):
-                self.report(path, lineno, "fused-value-access",
-                            "per-tuple Value access in a fused pipeline; "
-                            "use the batched kernels (ExtractInt64Column, "
-                            "CompareInt64, HashInt64Keys) or annotate "
-                            "NOLINT(reldiv/fused-value-access) with a "
-                            "reason")
 
     # --- include guards --------------------------------------------------
 

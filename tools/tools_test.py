@@ -148,18 +148,6 @@ class LintRuleTest(unittest.TestCase):
                         "for (size_t i = 0; i < n; ++i) {} }\n")
         self.assert_clean()
 
-    def test_fused_value_access_fires(self):
-        self.tree.write("src/exec/fused/f.cc",
-                        "void F(Tuple& t) { auto v = t.value(0); }\n")
-        self.assert_fires("fused-value-access")
-
-    def test_fused_value_access_suppressible(self):
-        self.tree.write(
-            "src/exec/fused/f.cc",
-            "void F(Tuple& t) { auto v = t.value(0); }"
-            "  // NOLINT(reldiv/fused-value-access): setup path\n")
-        self.assert_clean()
-
 
 # ---------------------------------------------------------------------------
 # analyze.py rules
