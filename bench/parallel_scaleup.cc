@@ -3,7 +3,12 @@
 // the slowest node's local division time (the parallel section's critical
 // path), interconnect traffic, and the effect of Babb bit-vector filtering
 // on the number of dividend tuples shipped. §6 is qualitative in the paper;
-// this bench quantifies its claims on this implementation.
+// this bench quantifies its claims on this implementation. Each row also
+// reports the wall time of the whole Execute call and its ratio to the same
+// configuration at one node. A wall-clock part then runs 1 and 4 nodes
+// (divisor partitioning, filter on) interleaved and fails when the 4-node
+// median wall exceeds 0.67x the 1-node one (full mode, at least 4 hardware
+// threads).
 //
 // The second section applies the same §6 quotient-partitioning idea INSIDE
 // one node: the dividend is hash-fragmented on the quotient attributes and
@@ -36,11 +41,41 @@
 namespace reldiv {
 namespace {
 
+/// Interleaved rounds of the §6 engine's 1-node/4-node wall comparison.
+constexpr int kEngineRounds = 5;
+/// The 4-node engine may take at most this fraction of the 1-node engine's
+/// median wall time (full mode, >= 4 hardware threads).
+constexpr double kMaxEngineVs1Node = 0.67;
 /// Interleaved rounds of the operator-path comparison.
 constexpr int kOperatorRounds = 5;
 /// The fragmented plan at dop 4 may take at most this multiple of the
 /// serial plan's median wall time (full mode, >= 4 hardware threads).
 constexpr double kMaxVsSerialAtDop4 = 1.5;
+
+double MsSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+/// One engine run over `workload`, checked against the expected quotient
+/// size; `*wall_ms` is the wall time of the whole Execute call.
+Result<ParallelDivisionResult> RunEngine(const GeneratedWorkload& workload,
+                                         const ParallelDivisionOptions& options,
+                                         double* wall_ms) {
+  ParallelHashDivisionEngine engine(options);
+  const auto start = std::chrono::steady_clock::now();
+  RELDIV_ASSIGN_OR_RETURN(
+      ParallelDivisionResult result,
+      engine.Execute(workload.dividend_schema, workload.divisor_schema,
+                     workload.dividend, workload.divisor, {1}));
+  *wall_ms = MsSince(start);
+  if (result.quotient.size() != workload.expected_quotient.size()) {
+    return Status::Internal("parallel division produced a wrong-sized "
+                            "quotient");
+  }
+  return result;
+}
 
 Status Run(bench::BenchReporter* report) {
   std::printf("=== Experiment E4: multi-processor hash-division (§6) "
@@ -61,49 +96,55 @@ Status Run(bench::BenchReporter* report) {
               static_cast<unsigned long long>(spec.nonmatching_tuples),
               workload.expected_quotient.size());
 
-  std::printf("%-10s %5s %7s | %12s %10s %12s %10s %9s\n", "strategy",
-              "nodes", "filter", "node cpu ms", "speedup", "net bytes",
-              "net msgs", "filtered");
-  bench::Rule(92);
+  std::printf("%-10s %5s %7s | %12s %10s %9s %9s %12s %10s %9s\n",
+              "strategy", "nodes", "filter", "node cpu ms", "speedup",
+              "wall ms", "vs 1 node", "net bytes", "net msgs", "filtered");
+  bench::Rule(112);
 
+  auto make_options = [](PartitionStrategy strategy, size_t nodes,
+                         bool filter) {
+    ParallelDivisionOptions options;
+    options.num_nodes = nodes;
+    options.strategy = strategy;
+    options.use_bit_vector_filter = filter;
+    options.bit_vector_bits = 64 * 1024;
+    return options;
+  };
   double single_node_ms = 0;
   for (PartitionStrategy strategy :
        {PartitionStrategy::kQuotient, PartitionStrategy::kDivisor}) {
+    double one_node_wall[2] = {0, 0};  // by filter off/on
     for (size_t nodes : {1, 2, 4, 8}) {
       for (bool filter : {false, true}) {
-        ParallelDivisionOptions options;
-        options.num_nodes = nodes;
-        options.strategy = strategy;
-        options.use_bit_vector_filter = filter;
-        options.bit_vector_bits = 64 * 1024;
-        ParallelHashDivisionEngine engine(options);
+        double wall = 0;
         RELDIV_ASSIGN_OR_RETURN(
             ParallelDivisionResult result,
-            engine.Execute(workload.dividend_schema, workload.divisor_schema,
-                           workload.dividend, workload.divisor, {1}));
-        if (result.quotient.size() != workload.expected_quotient.size()) {
-          return Status::Internal("parallel division produced a wrong-sized "
-                                  "quotient");
-        }
+            RunEngine(workload, make_options(strategy, nodes, filter),
+                      &wall));
+        if (nodes == 1) one_node_wall[filter] = wall;
+        const double vs_1node = wall / one_node_wall[filter];
         const char* name =
             strategy == PartitionStrategy::kQuotient ? "quotient" : "divisor";
         if (strategy == PartitionStrategy::kQuotient && nodes == 1 &&
             !filter) {
           single_node_ms = result.max_node_cpu_ms;
         }
-        std::printf("%-10s %5zu %7s | %12.1f %9.2fx %12llu %10llu %9llu\n",
+        std::printf("%-10s %5zu %7s | %12.1f %9.2fx %9.1f %8.2fx %12llu "
+                    "%10llu %9llu\n",
                     name, nodes, filter ? "on" : "off",
                     result.max_node_cpu_ms,
                     single_node_ms > 0 ? single_node_ms /
                                              result.max_node_cpu_ms
                                        : 0.0,
+                    wall, vs_1node,
                     static_cast<unsigned long long>(result.network_bytes),
                     static_cast<unsigned long long>(result.network_messages),
                     static_cast<unsigned long long>(result.tuples_filtered));
         bench::BenchRow* row = report->AddRow(
             std::string(name) + " nodes=" + std::to_string(nodes) +
             (filter ? " filter=on" : " filter=off"));
-        row->AddWallMs(result.wall_ms);
+        row->AddWallMs(wall);
+        row->AddValue("vs_1node", vs_1node);
         for (const NodeExecutionMetrics& node : result.node_metrics) {
           row->counters += node.cpu;
         }
@@ -134,6 +175,55 @@ Status Run(bench::BenchReporter* report) {
               "record before they are shipped; with %llu foreign tuples the "
               "network byte column shrinks accordingly (§6, Babb 1979).\n",
               static_cast<unsigned long long>(spec.nonmatching_tuples));
+
+  // Wall clock: senders, receivers and local divisions run as scheduler
+  // tasks, so 4 nodes must beat 1 where there are cores to run them. The
+  // two configurations alternate round by round, so a drift in host speed
+  // hits both alike; each reports its median wall.
+  std::printf("\nWall clock (divisor partitioning, filter on, median of %d "
+              "interleaved runs):\n",
+              kEngineRounds);
+  const size_t kWallNodes[] = {1, 4};
+  std::vector<double> walls[2];
+  for (int round = 0; round < kEngineRounds; ++round) {
+    for (size_t k = 0; k < 2; ++k) {
+      double wall = 0;
+      RELDIV_RETURN_NOT_OK(
+          RunEngine(workload,
+                    make_options(PartitionStrategy::kDivisor, kWallNodes[k],
+                                 /*filter=*/true),
+                    &wall)
+              .status());
+      walls[k].push_back(wall);
+    }
+  }
+  const double one_node_ms = bench::PercentileNs(walls[0], 50);
+  double vs_1node_at_4 = 0;
+  for (size_t k = 0; k < 2; ++k) {
+    const double wall = bench::PercentileNs(walls[k], 50);
+    const double vs_1node = wall / one_node_ms;
+    if (kWallNodes[k] == 4) vs_1node_at_4 = vs_1node;
+    std::printf("  nodes=%zu: wall %.1f ms (%.2fx 1 node)\n", kWallNodes[k],
+                wall, vs_1node);
+    bench::BenchRow* row = report->AddRow(
+        "wall divisor nodes=" + std::to_string(kWallNodes[k]) + " filter=on");
+    for (double ms : walls[k]) row->AddWallMs(ms);
+    row->AddValue("vs_1node", vs_1node);
+  }
+  const unsigned hw_threads = std::thread::hardware_concurrency();
+  if (bench::SmokeMode() || hw_threads < 4) {
+    std::printf("  vs_1node gate skipped (%s): nodes=4 reads %.2fx 1 node\n",
+                bench::SmokeMode() ? "smoke mode" : "fewer than 4 hardware "
+                                                    "threads",
+                vs_1node_at_4);
+  } else if (vs_1node_at_4 > kMaxEngineVs1Node) {
+    char message[128];
+    std::snprintf(message, sizeof message,
+                  "4-node engine wall is %.2fx the 1-node engine's, above "
+                  "the %.2fx gate",
+                  vs_1node_at_4, kMaxEngineVs1Node);
+    return Status::Internal(message);
+  }
   return Status::OK();
 }
 

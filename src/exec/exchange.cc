@@ -224,11 +224,16 @@ Status ExchangeBuffer::Route(ExecContext* ctx, const TupleBatch& batch,
                              const std::vector<size_t>& key_attrs) {
   for (const Tuple& tuple : batch) {
     ctx->CountHashes(1);  // one partitioning-function application (§3.4)
-    Partition& part =
-        partitions_[HashPartitionOf(tuple, key_attrs, partitions_.size())];
-    RELDIV_RETURN_NOT_OK(codec_.Encode(tuple, &part.bytes));
-    part.ends.push_back(part.bytes.size());
+    RELDIV_RETURN_NOT_OK(Append(
+        HashPartitionOf(tuple, key_attrs, partitions_.size()), tuple));
   }
+  return Status::OK();
+}
+
+Status ExchangeBuffer::Append(size_t p, const Tuple& tuple) {
+  Partition& part = partitions_[p];
+  RELDIV_RETURN_NOT_OK(codec_.Encode(tuple, &part.bytes));
+  part.ends.push_back(part.bytes.size());
   return Status::OK();
 }
 

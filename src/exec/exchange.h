@@ -129,6 +129,8 @@ class ExchangeOperator : public Operator {
 /// and charges one Hash per routed tuple; the encode on the way in and the
 /// decode on the way out are uncharged physical copies, as tuple hand-offs
 /// between operators are, so Table 1 totals do not depend on the buffer.
+/// Append() is the bare encode, for callers that chose the partition
+/// themselves (the §6 engine's senders, whose routing was never charged).
 /// Partition contents depend only on the data and the partition count,
 /// never on the worker count. Concurrent fragments may Read() and Release()
 /// distinct partitions.
@@ -145,6 +147,16 @@ class ExchangeBuffer {
   /// does not match the schema.
   Status Route(ExecContext* ctx, const TupleBatch& batch,
                const std::vector<size_t>& key_attrs);
+
+  /// Encodes `tuple` into partition `p`, uncharged. InvalidArgument when
+  /// the tuple does not match the schema.
+  Status Append(size_t p, const Tuple& tuple);
+
+  /// Encoded length in bytes of partition `p`'s row `row`.
+  size_t row_bytes(size_t p, size_t row) const {
+    const std::vector<size_t>& ends = partitions_[p].ends;
+    return ends[row] - (row == 0 ? 0 : ends[row - 1]);
+  }
 
   /// Decodes partition `p`'s rows from row `*cursor` on into `batch`
   /// (cleared first, filled up to its capacity with reused slots) and

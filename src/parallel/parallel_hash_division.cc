@@ -1,11 +1,14 @@
 #include "parallel/parallel_hash_division.h"
 
+#include <algorithm>
 #include <chrono>
+#include <iterator>
 
 #include "common/check.h"
 #include "common/row_codec.h"
 #include "cost/cost_model.h"
 #include "division/hash_division.h"
+#include "exec/exchange.h"
 #include "exec/mem_source.h"
 #include "exec/scheduler.h"
 #include "parallel/bit_vector_filter.h"
@@ -21,23 +24,113 @@ double MsSince(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Approximate wire size of a tuple batch under its schema.
-Result<uint64_t> BatchBytes(const Schema& schema,
-                            const std::vector<Tuple>& tuples) {
-  RowCodec codec(schema);
-  uint64_t bytes = 0;
-  for (const Tuple& tuple : tuples) {
-    RELDIV_ASSIGN_OR_RETURN(size_t size, codec.EncodedSize(tuple));
-    bytes += size;
+/// Destination of a row that a sender's bit-vector filter dropped.
+constexpr size_t kDropped = ~size_t{0};
+
+/// One sending node's half of a redistribution: its rows encoded per
+/// destination node, plus the destination of every row it kept, in the
+/// order it holds them — the shipments the coordinator replays.
+struct SenderOutput {
+  ExchangeBuffer rows;
+  std::vector<uint32_t> destinations;
+  uint64_t shipped = 0;   ///< rows sent to another node
+  uint64_t filtered = 0;  ///< rows the filter dropped
+};
+
+/// Redistributes `tuples` across the interconnect's nodes. Base relations
+/// start round-robin declustered (as in GAMMA), so sending node i owns rows
+/// i, i+n, i+2n, ... of `tuples`; `destination(tuple)` names each row's
+/// receiving node, or kDropped. The senders run as scheduler tasks, each
+/// computing its rows' destinations and encoding the rows into its own
+/// ExchangeBuffer. The coordinator then replays the shipments on `net`,
+/// sender-major and in row order within a sender, each shipment the row's
+/// encoded length: failpoint hits, retries and traffic counts follow that
+/// one order at any worker count. A row that does not match `schema` fails
+/// the redistribution (InvalidArgument) before anything is shipped.
+template <typename DestinationFn>
+Result<std::vector<SenderOutput>> Redistribute(
+    const Schema& schema, const std::vector<Tuple>& tuples,
+    Interconnect* net, const DestinationFn& destination) {
+  const size_t n = net->num_nodes();
+  std::vector<SenderOutput> senders;
+  senders.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    senders.push_back(SenderOutput{ExchangeBuffer(schema, n), {}, 0, 0});
   }
-  return bytes;
+  // Failures surface in sender order, whichever lane ran which sender.
+  // Each sender counts in locals and writes its slot of `status` and its
+  // SenderOutput totals once: neighbouring senders share cache lines.
+  std::vector<Status> status(n);
+  RELDIV_RETURN_NOT_OK(
+      TaskScheduler::Global().ParallelFor(n, n, [&](size_t from) -> Status {
+        SenderOutput& out = senders[from];
+        out.destinations.reserve(tuples.size() / n + 1);
+        uint64_t shipped = 0;
+        uint64_t filtered = 0;
+        for (size_t row = from; row < tuples.size(); row += n) {
+          const Tuple& tuple = tuples[row];
+          const size_t to = destination(tuple);
+          if (to == kDropped) {
+            filtered++;
+            continue;
+          }
+          Status appended = out.rows.Append(to, tuple);
+          if (!appended.ok()) {
+            status[from] = std::move(appended);
+            break;
+          }
+          out.destinations.push_back(static_cast<uint32_t>(to));
+          if (to != from) shipped++;
+        }
+        out.shipped = shipped;
+        out.filtered = filtered;
+        return Status::OK();
+      }));
+  for (const Status& s : status) RELDIV_RETURN_NOT_OK(s);
+
+  std::vector<size_t> cursor(n);
+  for (size_t from = 0; from < n; ++from) {
+    const SenderOutput& out = senders[from];
+    std::fill(cursor.begin(), cursor.end(), 0);
+    for (const uint32_t to : out.destinations) {
+      RELDIV_RETURN_NOT_OK(
+          net->Ship(from, to, out.rows.row_bytes(to, cursor[to]++)));
+    }
+  }
+  return senders;
 }
 
-/// Runs one node's local hash-division over in-memory fragments, filling
-/// `metrics` and (with `trace`) emitting one span on the node's lane.
-Status LocalDivision(WorkerNode* node, const Schema& dividend_schema,
-                     const Schema& divisor_schema,
-                     std::vector<Tuple> dividend, std::vector<Tuple> divisor,
+/// Rows of a redistribution addressed to node `me`.
+uint64_t RowsFor(const std::vector<SenderOutput>& senders, size_t me) {
+  uint64_t rows = 0;
+  for (const SenderOutput& sender : senders) rows += sender.rows.rows(me);
+  return rows;
+}
+
+/// Node `me`'s receiving side: decodes partition `me` of every sender's
+/// buffer, in sender order, a batch at a time into `batch` and hands each
+/// batch to `consume`; each partition is released once read, on the
+/// calling lane. Receivers of distinct nodes may run concurrently.
+template <typename ConsumeFn>
+Status Receive(std::vector<SenderOutput>* senders, size_t me,
+               TupleBatch* batch, const ConsumeFn& consume) {
+  for (SenderOutput& sender : *senders) {
+    size_t cursor = 0;
+    while (cursor < sender.rows.rows(me)) {
+      RELDIV_RETURN_NOT_OK(sender.rows.Read(me, &cursor, batch));
+      RELDIV_RETURN_NOT_OK(consume(*batch));
+    }
+    sender.rows.Release(me);
+  }
+  return Status::OK();
+}
+
+/// Runs one node's local hash-division: `divisor` against the node's share
+/// of the redistributed `dividend`, received a batch at a time. Fills
+/// `metrics` and (with `trace`) emits one span on the node's lane.
+Status LocalDivision(WorkerNode* node, const Schema& divisor_schema,
+                     std::vector<Tuple> divisor,
+                     std::vector<SenderOutput>* dividend,
                      const std::vector<size_t>& match_attrs,
                      const std::vector<size_t>& quotient_attrs,
                      const DivisionOptions& options,
@@ -45,25 +138,20 @@ Status LocalDivision(WorkerNode* node, const Schema& dividend_schema,
                      NodeExecutionMetrics* metrics, TraceRecorder* trace) {
   const auto start = std::chrono::steady_clock::now();
   const uint64_t span_start_us = trace != nullptr ? trace->NowMicros() : 0;
-  metrics->node_id = node->node_id();
-  metrics->dividend_tuples = dividend.size();
+  const size_t me = node->node_id();
+  metrics->node_id = me;
+  metrics->dividend_tuples = RowsFor(*dividend, me);
   const size_t quotient_before = quotient->size();
   const CpuCounters before = *node->counters();
   HashDivisionCore core(node->ctx(), match_attrs, quotient_attrs, options);
   MemSourceOperator divisor_source(divisor_schema, std::move(divisor));
   RELDIV_RETURN_NOT_OK(core.BuildDivisorTable(&divisor_source));
   RELDIV_RETURN_NOT_OK(core.ResetQuotientTable());
-  // The node's dividend stream is consumed a batch at a time; the fragment
-  // is owned here, so tuples are moved into the batch rather than copied.
   TupleBatch batch(node->ctx()->batch_capacity());
-  size_t pos = 0;
-  do {
-    batch.Clear();
-    while (!batch.full() && pos < dividend.size()) {
-      batch.PushBack(std::move(dividend[pos++]));
-    }
-    RELDIV_RETURN_NOT_OK(core.ConsumeBatch(batch, quotient));
-  } while (pos < dividend.size());
+  RELDIV_RETURN_NOT_OK(
+      Receive(dividend, me, &batch, [&](const TupleBatch& rows) {
+        return core.ConsumeBatch(rows, quotient);
+      }));
   RELDIV_RETURN_NOT_OK(core.EmitComplete(quotient));
   metrics->local_ms = MsSince(start);
   metrics->quotient_tuples = quotient->size() - quotient_before;
@@ -74,11 +162,10 @@ Status LocalDivision(WorkerNode* node, const Schema& dividend_schema,
   if (trace != nullptr) {
     trace->Complete("local-division", "parallel", span_start_us,
                     trace->NowMicros() - span_start_us,
-                    static_cast<uint32_t>(1 + node->node_id()),
+                    static_cast<uint32_t>(1 + me),
                     {{"tuples_in", metrics->dividend_tuples},
                      {"quotient", metrics->quotient_tuples}});
   }
-  (void)dividend_schema;
   return Status::OK();
 }
 
@@ -115,40 +202,38 @@ Result<ParallelDivisionResult> ParallelHashDivisionEngine::Execute(
 
   interconnect_.set_trace(options_.trace);
 
-  // Initial declustered placement of the base relations.
-  auto dividend_frags = RoundRobinSplit(dividend, options_.num_nodes);
-  auto divisor_frags = RoundRobinSplit(divisor, options_.num_nodes);
-
   if (options_.strategy == PartitionStrategy::kQuotient) {
-    return RunQuotientPartitioned(dividend_schema, divisor_schema,
-                                  dividend_frags, divisor_frags, match_attrs,
-                                  quotient_attrs);
+    return RunQuotientPartitioned(dividend_schema, divisor_schema, dividend,
+                                  divisor, match_attrs, quotient_attrs);
   }
-  return RunDivisorPartitioned(dividend_schema, divisor_schema,
-                               dividend_frags, divisor_frags, match_attrs,
-                               quotient_attrs);
+  return RunDivisorPartitioned(dividend_schema, divisor_schema, dividend,
+                               divisor, match_attrs, quotient_attrs);
 }
 
 Result<ParallelDivisionResult>
 ParallelHashDivisionEngine::RunQuotientPartitioned(
     const Schema& dividend_schema, const Schema& divisor_schema,
-    const std::vector<std::vector<Tuple>>& dividend_frags,
-    const std::vector<std::vector<Tuple>>& divisor_frags,
+    const std::vector<Tuple>& dividend, const std::vector<Tuple>& divisor,
     const std::vector<size_t>& match_attrs,
     const std::vector<size_t>& quotient_attrs) {
   const size_t n = options_.num_nodes;
   ParallelDivisionResult result;
   const auto wall_start = std::chrono::steady_clock::now();
 
-  // Replicate the divisor: every node's fragment is broadcast so that each
-  // node holds the full divisor table.
+  // Replicate the divisor: every node broadcasts its declustered share
+  // (rows i, i+n, ...) so that each node holds the full divisor table.
+  RowCodec divisor_codec(divisor_schema);
   std::vector<Tuple> full_divisor;
+  full_divisor.reserve(divisor.size());
   for (size_t i = 0; i < n; ++i) {
-    RELDIV_ASSIGN_OR_RETURN(uint64_t bytes,
-                            BatchBytes(divisor_schema, divisor_frags[i]));
+    uint64_t bytes = 0;
+    for (size_t row = i; row < divisor.size(); row += n) {
+      RELDIV_ASSIGN_OR_RETURN(size_t size,
+                              divisor_codec.EncodedSize(divisor[row]));
+      bytes += size;
+      full_divisor.push_back(divisor[row]);
+    }
     RELDIV_RETURN_NOT_OK(interconnect_.Broadcast(i, bytes));
-    full_divisor.insert(full_divisor.end(), divisor_frags[i].begin(),
-                        divisor_frags[i].end());
   }
 
   // Optional bit-vector filter over the divisor's match-key hashes.
@@ -163,21 +248,19 @@ ParallelHashDivisionEngine::RunQuotientPartitioned(
   }
 
   // Redistribute the dividend on the quotient attributes.
-  RowCodec dividend_codec(dividend_schema);
-  std::vector<std::vector<Tuple>> incoming(n);
-  for (size_t from = 0; from < n; ++from) {
-    for (const Tuple& tuple : dividend_frags[from]) {
-      if (filter != nullptr &&
-          !filter->MayContain(tuple.HashAt(match_attrs))) {
-        result.tuples_filtered++;
-        continue;
-      }
-      const size_t to = HashPartitionOf(tuple, quotient_attrs, n);
-      RELDIV_ASSIGN_OR_RETURN(size_t bytes, dividend_codec.EncodedSize(tuple));
-      RELDIV_RETURN_NOT_OK(interconnect_.Ship(from, to, bytes));
-      if (to != from) result.tuples_shipped++;
-      incoming[to].push_back(tuple);
-    }
+  RELDIV_ASSIGN_OR_RETURN(
+      std::vector<SenderOutput> incoming,
+      Redistribute(dividend_schema, dividend, &interconnect_,
+                   [&](const Tuple& tuple) {
+                     if (filter != nullptr &&
+                         !filter->MayContain(tuple.HashAt(match_attrs))) {
+                       return kDropped;
+                     }
+                     return HashPartitionOf(tuple, quotient_attrs, n);
+                   }));
+  for (const SenderOutput& sender : incoming) {
+    result.tuples_shipped += sender.shipped;
+    result.tuples_filtered += sender.filtered;
   }
 
   // All local hash-division operators work completely independently.
@@ -190,10 +273,9 @@ ParallelHashDivisionEngine::RunQuotientPartitioned(
   RELDIV_RETURN_NOT_OK(
       TaskScheduler::Global().ParallelFor(n, n, [&](size_t i) -> Status {
         local_status[i] = LocalDivision(
-            nodes_[i].get(), dividend_schema, divisor_schema,
-            std::move(incoming[i]), full_divisor, match_attrs, quotient_attrs,
-            options_.division, &local_quotients[i], &node_metrics[i],
-            options_.trace);
+            nodes_[i].get(), divisor_schema, full_divisor, &incoming,
+            match_attrs, quotient_attrs, options_.division,
+            &local_quotients[i], &node_metrics[i], options_.trace);
         return Status::OK();
       }));
   // Quotient partitioning (§6): the clusters are disjoint by construction,
@@ -209,8 +291,10 @@ ParallelHashDivisionEngine::RunQuotientPartitioned(
       RELDIV_DCHECK_EQ(HashPartitionOf(q, projected_attrs, n), i)
           << "quotient tuple emitted by a node outside its hash cluster";
     }
-    result.quotient.insert(result.quotient.end(), local_quotients[i].begin(),
-                           local_quotients[i].end());
+    result.quotient.insert(
+        result.quotient.end(),
+        std::make_move_iterator(local_quotients[i].begin()),
+        std::make_move_iterator(local_quotients[i].end()));
     result.max_node_ms = std::max(result.max_node_ms,
                                   node_metrics[i].local_ms);
     result.max_node_cpu_ms = std::max(result.max_node_cpu_ms,
@@ -226,8 +310,7 @@ ParallelHashDivisionEngine::RunQuotientPartitioned(
 Result<ParallelDivisionResult>
 ParallelHashDivisionEngine::RunDivisorPartitioned(
     const Schema& dividend_schema, const Schema& divisor_schema,
-    const std::vector<std::vector<Tuple>>& dividend_frags,
-    const std::vector<std::vector<Tuple>>& divisor_frags,
+    const std::vector<Tuple>& dividend, const std::vector<Tuple>& divisor,
     const std::vector<size_t>& match_attrs,
     const std::vector<size_t>& quotient_attrs) {
   const size_t n = options_.num_nodes;
@@ -237,16 +320,22 @@ ParallelHashDivisionEngine::RunDivisorPartitioned(
   std::vector<size_t> divisor_all(divisor_schema.num_fields());
   for (size_t i = 0; i < divisor_all.size(); ++i) divisor_all[i] = i;
 
-  // Redistribute the divisor on all its attributes.
-  RowCodec divisor_codec(divisor_schema);
+  // Redistribute the divisor on all its attributes; the coordinator
+  // gathers each node's (small) divisor cluster.
+  RELDIV_ASSIGN_OR_RETURN(
+      std::vector<SenderOutput> divisor_senders,
+      Redistribute(divisor_schema, divisor, &interconnect_,
+                   [&](const Tuple& tuple) {
+                     return HashPartitionOf(tuple, divisor_all, n);
+                   }));
   std::vector<std::vector<Tuple>> divisor_in(n);
-  for (size_t from = 0; from < n; ++from) {
-    for (const Tuple& tuple : divisor_frags[from]) {
-      const size_t to = HashPartitionOf(tuple, divisor_all, n);
-      RELDIV_ASSIGN_OR_RETURN(size_t bytes, divisor_codec.EncodedSize(tuple));
-      RELDIV_RETURN_NOT_OK(interconnect_.Ship(from, to, bytes));
-      divisor_in[to].push_back(tuple);
-    }
+  TupleBatch divisor_batch;
+  for (size_t i = 0; i < n; ++i) {
+    RELDIV_RETURN_NOT_OK(Receive(
+        &divisor_senders, i, &divisor_batch, [&](const TupleBatch& rows) {
+          for (const Tuple& tuple : rows) divisor_in[i].push_back(tuple);
+          return Status::OK();
+        }));
   }
 
   // Optional bit-vector filtering: each node builds a filter from its
@@ -265,22 +354,21 @@ ParallelHashDivisionEngine::RunDivisorPartitioned(
     }
   }
 
-  // Redistribute the dividend with the same function on the divisor attrs.
-  RowCodec dividend_codec(dividend_schema);
-  std::vector<std::vector<Tuple>> dividend_in(n);
-  for (size_t from = 0; from < n; ++from) {
-    for (const Tuple& tuple : dividend_frags[from]) {
-      if (filter != nullptr &&
-          !filter->MayContain(tuple.HashAt(match_attrs))) {
-        result.tuples_filtered++;
-        continue;
-      }
-      const size_t to = HashPartitionOf(tuple, match_attrs, n);
-      RELDIV_ASSIGN_OR_RETURN(size_t bytes, dividend_codec.EncodedSize(tuple));
-      RELDIV_RETURN_NOT_OK(interconnect_.Ship(from, to, bytes));
-      if (to != from) result.tuples_shipped++;
-      dividend_in[to].push_back(tuple);
-    }
+  // Redistribute the dividend with the same function on the divisor attrs;
+  // the filter probe and the partition share one hash of the match key.
+  RELDIV_ASSIGN_OR_RETURN(
+      std::vector<SenderOutput> dividend_in,
+      Redistribute(dividend_schema, dividend, &interconnect_,
+                   [&](const Tuple& tuple) {
+                     const uint64_t hash = tuple.HashAt(match_attrs);
+                     if (filter != nullptr && !filter->MayContain(hash)) {
+                       return kDropped;
+                     }
+                     return static_cast<size_t>(hash % n);
+                   }));
+  for (const SenderOutput& sender : dividend_in) {
+    result.tuples_shipped += sender.shipped;
+    result.tuples_filtered += sender.filtered;
   }
 
   // Parallel phase: each node with a non-empty divisor cluster divides.
@@ -297,10 +385,9 @@ ParallelHashDivisionEngine::RunDivisorPartitioned(
       participating.size(), participating.size(), [&](size_t k) -> Status {
         const size_t i = participating[k];
         local_status[i] = LocalDivision(
-            nodes_[i].get(), dividend_schema, divisor_schema,
-            std::move(dividend_in[i]), std::move(divisor_in[i]), match_attrs,
-            quotient_attrs, options_.division, &local_quotients[i],
-            &node_metrics[i], options_.trace);
+            nodes_[i].get(), divisor_schema, std::move(divisor_in[i]),
+            &dividend_in, match_attrs, quotient_attrs, options_.division,
+            &local_quotients[i], &node_metrics[i], options_.trace);
         return Status::OK();
       }));
 

@@ -99,15 +99,13 @@ class ParallelHashDivisionEngine {
  private:
   Result<ParallelDivisionResult> RunQuotientPartitioned(
       const Schema& dividend_schema, const Schema& divisor_schema,
-      const std::vector<std::vector<Tuple>>& dividend_frags,
-      const std::vector<std::vector<Tuple>>& divisor_frags,
+      const std::vector<Tuple>& dividend, const std::vector<Tuple>& divisor,
       const std::vector<size_t>& match_attrs,
       const std::vector<size_t>& quotient_attrs);
 
   Result<ParallelDivisionResult> RunDivisorPartitioned(
       const Schema& dividend_schema, const Schema& divisor_schema,
-      const std::vector<std::vector<Tuple>>& dividend_frags,
-      const std::vector<std::vector<Tuple>>& divisor_frags,
+      const std::vector<Tuple>& dividend, const std::vector<Tuple>& divisor,
       const std::vector<size_t>& match_attrs,
       const std::vector<size_t>& quotient_attrs);
 

@@ -10,40 +10,4 @@ size_t HashPartitionOf(const Tuple& tuple, const std::vector<size_t>& attrs,
   return static_cast<size_t>(tuple.HashAt(attrs) % num_partitions);
 }
 
-std::vector<std::vector<Tuple>> HashPartition(
-    const std::vector<Tuple>& tuples, const std::vector<size_t>& attrs,
-    size_t num_partitions) {
-  std::vector<std::vector<Tuple>> out(num_partitions);
-  for (const Tuple& tuple : tuples) {
-    out[HashPartitionOf(tuple, attrs, num_partitions)].push_back(tuple);
-  }
-  return out;
-}
-
-std::vector<std::vector<Tuple>> RangePartition(
-    const std::vector<Tuple>& tuples, size_t attr,
-    const std::vector<int64_t>& splits) {
-  for (size_t i = 1; i < splits.size(); ++i) {
-    RELDIV_DCHECK_LE(splits[i - 1], splits[i])
-        << "range partition split points must be ascending";
-  }
-  std::vector<std::vector<Tuple>> out(splits.size() + 1);
-  for (const Tuple& tuple : tuples) {
-    const int64_t v = tuple.value(attr).int64();
-    size_t p = 0;
-    while (p < splits.size() && v >= splits[p]) p++;
-    out[p].push_back(tuple);
-  }
-  return out;
-}
-
-std::vector<std::vector<Tuple>> RoundRobinSplit(
-    const std::vector<Tuple>& tuples, size_t num_partitions) {
-  std::vector<std::vector<Tuple>> out(num_partitions);
-  for (size_t i = 0; i < tuples.size(); ++i) {
-    out[i % num_partitions].push_back(tuples[i]);
-  }
-  return out;
-}
-
 }  // namespace reldiv

@@ -1,36 +1,19 @@
 #ifndef RELDIV_PARALLEL_PARTITIONER_H_
 #define RELDIV_PARALLEL_PARTITIONER_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
 #include "common/tuple.h"
 
 namespace reldiv {
 
-/// Hash partitioning of a tuple batch on `attrs` into `num_partitions`
-/// disjoint clusters (§3.4 / §6). Deterministic: the same tuple always
-/// lands in the same cluster, which both overflow handling and
+/// Partition index of `tuple` under hash partitioning on `attrs` into
+/// `num_partitions` disjoint clusters (§3.4 / §6). Deterministic: the same
+/// tuple always lands in the same cluster, which both overflow handling and
 /// shared-nothing redistribution rely on.
-std::vector<std::vector<Tuple>> HashPartition(
-    const std::vector<Tuple>& tuples, const std::vector<size_t>& attrs,
-    size_t num_partitions);
-
-/// Partition index of one tuple under the same function.
 size_t HashPartitionOf(const Tuple& tuple, const std::vector<size_t>& attrs,
                        size_t num_partitions);
-
-/// Range partitioning on a single int64 column given ascending split points:
-/// tuple goes to the first partition whose split point exceeds its value
-/// (last partition is unbounded). splits.size() + 1 partitions result.
-std::vector<std::vector<Tuple>> RangePartition(
-    const std::vector<Tuple>& tuples, size_t attr,
-    const std::vector<int64_t>& splits);
-
-/// Round-robin split used to model the initial declustered placement of a
-/// relation across the nodes of a shared-nothing machine.
-std::vector<std::vector<Tuple>> RoundRobinSplit(
-    const std::vector<Tuple>& tuples, size_t num_partitions);
 
 }  // namespace reldiv
 

@@ -423,6 +423,118 @@ TEST_F(FaultInjectionTest, ParallelDivisionSurvivesLossyLink) {
   }
 }
 
+// The §6 engine replays its interconnect ledger in one fixed order
+// (sender-major, declustering order within a sender), so the failpoint hit
+// sequence — and with it which shipment is retried — never depends on the
+// worker count. The retry/backoff/message values below were recorded before
+// the engine's senders ran in parallel and must not move.
+TEST_F(FaultInjectionTest, ParallelDivisionFaultOrderIsFixed) {
+  WorkloadSpec spec;
+  spec.divisor_cardinality = 10;
+  spec.quotient_candidates = 50;
+  spec.candidate_completeness = 0.6;
+  spec.nonmatching_tuples = 30;
+  spec.seed = 13;
+  // Variable-width rows, so a retried shipment's bytes identify it.
+  const GeneratedWorkload w = WithStringQuotient(GenerateWorkload(spec));
+  // Σ (1 + from·4 + to) · bytes_between(from, to): moves when a retry's
+  // bytes land on another link.
+  auto link_checksum = [](const Interconnect& net) {
+    uint64_t sum = 0;
+    for (size_t from = 0; from < 4; ++from) {
+      for (size_t to = 0; to < 4; ++to) {
+        sum += (1 + from * 4 + to) * net.bytes_between(from, to);
+      }
+    }
+    return sum;
+  };
+
+  struct Expected {
+    PartitionStrategy strategy;
+    const char* site;
+    FailpointPolicy policy;
+    uint64_t retries;
+    uint64_t backoff_units;
+    uint64_t messages;
+    uint64_t bytes;
+    uint64_t links;  ///< link_checksum
+  };
+  const std::vector<Expected> cases = {
+      {PartitionStrategy::kQuotient, "network/send",
+       FailpointPolicy::OnNthHit(40), 1, 1, 307, 5441, 45692},
+      {PartitionStrategy::kQuotient, "network/recv",
+       FailpointPolicy::OnNthHit(40), 1, 1, 308, 5460, 45768},
+      {PartitionStrategy::kQuotient, "network/recv",
+       FailpointPolicy::OnNthHit(150), 1, 1, 308, 5461, 45792},
+      {PartitionStrategy::kQuotient, "network/send",
+       FailpointPolicy::WithProbability(10, 3), 34, 36, 307, 5441, 45692},
+      {PartitionStrategy::kQuotient, "network/recv",
+       FailpointPolicy::WithProbability(5, 21), 12, 12, 319, 5641, 47506},
+      {PartitionStrategy::kDivisor, "network/send",
+       FailpointPolicy::OnNthHit(40), 1, 1, 416, 13171, 110487},
+      {PartitionStrategy::kDivisor, "network/recv",
+       FailpointPolicy::OnNthHit(40), 1, 1, 417, 13190, 110563},
+      {PartitionStrategy::kDivisor, "network/recv",
+       FailpointPolicy::OnNthHit(150), 1, 1, 417, 13190, 110582},
+      {PartitionStrategy::kDivisor, "network/send",
+       FailpointPolicy::WithProbability(10, 3), 47, 52, 416, 13171, 110487},
+      {PartitionStrategy::kDivisor, "network/recv",
+       FailpointPolicy::WithProbability(5, 21), 20, 21, 436, 14016, 115784},
+  };
+  for (const Expected& c : cases) {
+    registry().Arm(c.site, c.policy);
+    ParallelDivisionOptions options;
+    options.num_nodes = 4;
+    options.strategy = c.strategy;
+    options.use_bit_vector_filter = true;
+    ParallelHashDivisionEngine engine(options);
+    Result<ParallelDivisionResult> result =
+        engine.Execute(w.dividend_schema, w.divisor_schema, w.dividend,
+                       w.divisor, {1});
+    registry().DisarmAll();
+    const Interconnect& net = engine.interconnect();
+    SCOPED_TRACE("actual: " + std::to_string(net.retries()) + ", " +
+                 std::to_string(net.backoff_units()) + ", " +
+                 std::to_string(net.messages()) + ", " +
+                 std::to_string(net.bytes()) + ", " +
+                 std::to_string(link_checksum(net)));
+    ASSERT_OK(result.status());
+    EXPECT_EQ(Sorted(std::move(result.MoveValue().quotient)),
+              w.expected_quotient);
+    EXPECT_EQ(net.retries(), c.retries);
+    EXPECT_EQ(net.backoff_units(), c.backoff_units);
+    EXPECT_EQ(net.messages(), c.messages);
+    EXPECT_EQ(net.bytes(), c.bytes);
+    EXPECT_EQ(link_checksum(net), c.links);
+  }
+}
+
+// A dividend row that does not match its schema is rejected while it is
+// encoded for shipment: a clean InvalidArgument, nothing leaked (the asan
+// lane runs this suite).
+TEST_F(FaultInjectionTest, ParallelDivisionRejectsMistypedDividendRow) {
+  WorkloadSpec spec;
+  spec.divisor_cardinality = 6;
+  spec.quotient_candidates = 30;
+  spec.seed = 19;
+  GeneratedWorkload w = GenerateWorkload(spec);
+  w.dividend[w.dividend.size() / 2] =
+      Tuple{Value::String("not an id"), w.divisor[0].value(0)};
+  for (PartitionStrategy strategy :
+       {PartitionStrategy::kQuotient, PartitionStrategy::kDivisor}) {
+    ParallelDivisionOptions options;
+    options.num_nodes = 4;
+    options.strategy = strategy;
+    ParallelHashDivisionEngine engine(options);
+    Result<ParallelDivisionResult> result =
+        engine.Execute(w.dividend_schema, w.divisor_schema, w.dividend,
+                       w.divisor, {1});
+    ASSERT_FALSE(result.ok());
+    EXPECT_TRUE(result.status().IsInvalidArgument())
+        << result.status().ToString();
+  }
+}
+
 // PR-8 acceptance: after an injected fault kills a query, the flight
 // recorder holds a non-empty, schema-valid record of what happened — the
 // failpoint fire and the non-OK root status both appear in the dump.

@@ -4,7 +4,6 @@
 #include "gtest/gtest.h"
 #include "parallel/bit_vector_filter.h"
 #include "parallel/network.h"
-#include "parallel/partitioner.h"
 #include "tests/test_util.h"
 #include "workload/generator.h"
 
@@ -56,38 +55,6 @@ TEST(BitVectorFilterTest, UnionWith) {
   a.UnionWith(b);
   EXPECT_TRUE(a.MayContain(Hash64(1)));
   EXPECT_TRUE(a.MayContain(Hash64(2)));
-}
-
-TEST(PartitionerTest, HashPartitionIsDisjointAndComplete) {
-  std::vector<Tuple> tuples;
-  for (int i = 0; i < 100; ++i) tuples.push_back(T(i, i));
-  auto parts = HashPartition(tuples, {0}, 7);
-  size_t total = 0;
-  for (size_t p = 0; p < parts.size(); ++p) {
-    for (const Tuple& t : parts[p]) {
-      EXPECT_EQ(HashPartitionOf(t, {0}, 7), p);
-    }
-    total += parts[p].size();
-  }
-  EXPECT_EQ(total, 100u);
-}
-
-TEST(PartitionerTest, RangePartition) {
-  std::vector<Tuple> tuples = {T(1, 0), T(5, 0), T(10, 0), T(15, 0)};
-  auto parts = RangePartition(tuples, 0, {5, 12});
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0], std::vector<Tuple>{T(1, 0)});           // < 5
-  EXPECT_EQ(parts[1], (std::vector<Tuple>{T(5, 0), T(10, 0)}));  // [5, 12)
-  EXPECT_EQ(parts[2], std::vector<Tuple>{T(15, 0)});          // >= 12
-}
-
-TEST(PartitionerTest, RoundRobinBalances) {
-  std::vector<Tuple> tuples;
-  for (int i = 0; i < 10; ++i) tuples.push_back(T(i, 0));
-  auto parts = RoundRobinSplit(tuples, 3);
-  EXPECT_EQ(parts[0].size(), 4u);
-  EXPECT_EQ(parts[1].size(), 3u);
-  EXPECT_EQ(parts[2].size(), 3u);
 }
 
 class ParallelDivisionTest : public ::testing::Test {
@@ -246,6 +213,164 @@ TEST_F(ParallelDivisionTest, EmptyDivisorYieldsEmptyQuotient) {
         engine.Execute(w.dividend_schema, w.divisor_schema, w.dividend, {},
                        {1}));
     EXPECT_TRUE(result.quotient.empty());
+  }
+}
+
+// Golden §6 accounting: every case's quotient (in emitted order),
+// interconnect ledger, shipping counts and per-node Table 1 counters, pinned
+// to the values the engine produced before its data path moved to encoded
+// exchange buffers and parallel senders. The values must not depend on the
+// worker count (the suite also runs at RELDIV_THREADS=4 and 8).
+struct GoldenCase {
+  const char* name;
+  PartitionStrategy strategy;
+  bool filter;
+  bool decentralized;
+  bool string_quotient;
+  // Expected values.
+  const char* quotient;  ///< quotient values in emitted order
+  uint64_t messages;
+  uint64_t bytes;
+  uint64_t shipped;
+  uint64_t filtered;
+  std::vector<uint64_t> between;  ///< bytes_between(from, to), row-major
+  std::vector<std::vector<uint64_t>> node_cpu;  ///< {comp, hash, move, bit}
+};
+
+std::string RenderQuotient(const std::vector<Tuple>& quotient) {
+  std::string out;
+  for (const Tuple& tuple : quotient) {
+    if (!out.empty()) out += ' ';
+    out += tuple.value(0).ToString();
+  }
+  return out;
+}
+
+/// The case's actual values as a GoldenCase initializer tail, printed on a
+/// mismatch so a deliberate accounting change can be re-pinned.
+std::string RenderGolden(const ParallelDivisionResult& result,
+                         const Interconnect& net) {
+  std::string out = "\"" + RenderQuotient(result.quotient) + "\", " +
+                    std::to_string(result.network_messages) + ", " +
+                    std::to_string(result.network_bytes) + ", " +
+                    std::to_string(result.tuples_shipped) + ", " +
+                    std::to_string(result.tuples_filtered) + ",\n {";
+  for (size_t from = 0; from < net.num_nodes(); ++from) {
+    for (size_t to = 0; to < net.num_nodes(); ++to) {
+      if (from + to > 0) out += ", ";
+      out += std::to_string(net.bytes_between(from, to));
+    }
+  }
+  out += "},\n {";
+  for (size_t i = 0; i < result.node_metrics.size(); ++i) {
+    const CpuCounters& c = result.node_metrics[i].cpu;
+    out += std::string(i > 0 ? ", " : "") + "{" +
+           std::to_string(c.comparisons) + ", " + std::to_string(c.hashes) +
+           ", " + std::to_string(c.moves) + ", " + std::to_string(c.bit_ops) +
+           "}";
+  }
+  return out + "}";
+}
+
+TEST_F(ParallelDivisionTest, GoldenAccounting) {
+  constexpr size_t kNodes = 4;
+  WorkloadSpec spec;
+  spec.divisor_cardinality = 8;
+  spec.quotient_candidates = 24;
+  spec.candidate_completeness = 0.5;
+  spec.nonmatching_tuples = 20;
+  spec.dividend_duplicates = 6;
+  spec.divisor_duplicates = 2;
+  spec.seed = 29;
+  const GeneratedWorkload ints = GenerateWorkload(spec);
+  const GeneratedWorkload strings = WithStringQuotient(ints);
+
+  // {name, strategy, filter, decentralized, string quotient, quotient,
+  //  messages, bytes, shipped, filtered, bytes_between, node cpu}
+  const std::vector<GoldenCase> cases = {
+      {"quotient", PartitionStrategy::kQuotient, false, false, false,
+       "8 10 11 7 5 9 3 6 2 4 1 0",
+       136, 2224, 124, 0,
+       {0, 280, 136, 264, 88, 0, 152, 232, 144, 128, 0, 336, 80, 288, 96, 0},
+       {{40, 46, 0, 22}, {114, 116, 0, 66}, {61, 61, 0, 33},
+        {133, 127, 0, 72}}},
+      {"quotient+filter", PartitionStrategy::kQuotient, true, false, false,
+       "8 10 11 7 5 9 3 6 2 4 1 0",
+       117, 1920, 105, 20,
+       {0, 248, 136, 232, 72, 0, 152, 136, 112, 96, 0, 320, 64, 272, 80, 0},
+       {{39, 42, 0, 22}, {112, 110, 0, 66}, {60, 60, 0, 33},
+        {132, 118, 0, 72}}},
+      {"divisor", PartitionStrategy::kDivisor, false, false, false,
+       "10 6 3 2 4 5 1 11 7 8 0 9",
+       172, 2680, 115, 0,
+       {0, 80, 96, 504, 368, 0, 104, 352, 288, 128, 0, 432, 192, 88, 48, 0},
+       {{22, 49, 0, 58}, {22, 40, 0, 52}, {253, 225, 0, 155}}},
+      {"divisor+filter", PartitionStrategy::kDivisor, true, false, false,
+       "10 6 3 2 4 5 1 11 7 8 0 9",
+       171, 3240, 102, 20,
+       {0, 96, 160, 568, 368, 0, 152, 416, 336, 160, 0, 480, 256, 152, 96, 0},
+       {{22, 41, 0, 58}, {20, 37, 0, 52}, {250, 222, 0, 155}}},
+      {"divisor+decentralized", PartitionStrategy::kDivisor, false, true, false,
+       "8 10 11 7 5 9 6 3 2 4 1 0",
+       156, 2424, 115, 0,
+       {0, 80, 96, 504, 112, 0, 152, 464, 48, 208, 0, 528, 16, 136, 80, 0},
+       {{22, 49, 0, 58}, {22, 40, 0, 52}, {253, 225, 0, 155}}},
+      {"divisor+filter+decentralized", PartitionStrategy::kDivisor, true, true,
+       false,
+       "8 10 11 7 5 9 6 3 2 4 1 0",
+       155, 2984, 102, 20,
+       {0, 96, 160, 568, 112, 0, 200, 528, 96, 240, 0, 576, 80, 200, 128, 0},
+       {{22, 41, 0, 58}, {20, 37, 0, 52}, {250, 222, 0, 155}}},
+      {"string quotient", PartitionStrategy::kQuotient, true, false, true,
+       "q7 q2.. q6...... q1. q4.... q8. q11.... q9.. q0 q5..... q3... q10...",
+       121, 2117, 109, 20,
+       {0, 110, 258, 170, 258, 0, 97, 174, 137, 185, 0, 177, 229, 191, 131, 0},
+       {{94, 96, 0, 59}, {78, 74, 0, 46}, {85, 82, 0, 46}, {81, 78, 0, 42}}},
+      {"string divisor+decentralized", PartitionStrategy::kDivisor, true, true,
+       true,
+       "q7 q2.. q6...... q1. q4.... q8. q11.... q9.. q0 q5..... q3... q10...",
+       159, 3192, 102, 20,
+       {0, 93, 174, 582, 168, 0, 223, 526, 167, 218, 0, 573, 114, 191, 163, 0},
+       {{22, 41, 0, 58}, {19, 37, 0, 52}, {245, 222, 0, 155}}},
+  };
+
+  for (const GoldenCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    const GeneratedWorkload& w = c.string_quotient ? strings : ints;
+    ParallelDivisionOptions options;
+    options.num_nodes = kNodes;
+    options.strategy = c.strategy;
+    options.use_bit_vector_filter = c.filter;
+    options.bit_vector_bits = 512;  // small enough for false positives
+    options.decentralized_collection = c.decentralized;
+    ParallelHashDivisionEngine engine(options);
+    ASSERT_OK_AND_ASSIGN(
+        ParallelDivisionResult result,
+        engine.Execute(w.dividend_schema, w.divisor_schema, w.dividend,
+                       w.divisor, {1}));
+    const Interconnect& net = engine.interconnect();
+    SCOPED_TRACE("actual: " + RenderGolden(result, net));
+    EXPECT_EQ(Sorted(result.quotient), w.expected_quotient);
+    EXPECT_EQ(RenderQuotient(result.quotient), c.quotient);
+    EXPECT_EQ(result.network_messages, c.messages);
+    EXPECT_EQ(result.network_bytes, c.bytes);
+    EXPECT_EQ(result.tuples_shipped, c.shipped);
+    EXPECT_EQ(result.tuples_filtered, c.filtered);
+    ASSERT_EQ(c.between.size(), kNodes * kNodes);
+    for (size_t from = 0; from < kNodes; ++from) {
+      for (size_t to = 0; to < kNodes; ++to) {
+        EXPECT_EQ(net.bytes_between(from, to), c.between[from * kNodes + to])
+            << from << " -> " << to;
+      }
+    }
+    ASSERT_EQ(result.node_metrics.size(), c.node_cpu.size());
+    for (size_t i = 0; i < c.node_cpu.size(); ++i) {
+      const CpuCounters& cpu = result.node_metrics[i].cpu;
+      EXPECT_EQ((std::vector<uint64_t>{cpu.comparisons, cpu.hashes,
+                                       cpu.moves, cpu.bit_ops}),
+                c.node_cpu[i])
+          << "node " << result.node_metrics[i].node_id;
+    }
   }
 }
 
