@@ -39,6 +39,16 @@ Status NaiveDivisionOperator::AdvanceDividend() {
   return dividend_->Next(&current_, &current_valid_);
 }
 
+void NaiveDivisionOperator::StartGroup() {
+  // Copy only the quotient attributes, into the key's existing values.
+  group_key_.Resize(quotient_attrs_.size());
+  for (size_t i = 0; i < quotient_attrs_.size(); ++i) {
+    group_key_.value(i) = current_.value(quotient_attrs_[i]);
+  }
+  group_done_ = false;
+  divisor_pos_ = 0;
+}
+
 Status NaiveDivisionOperator::Next(Tuple* tuple, bool* has_next) {
   // Empty-divisor convention: empty quotient (see division.h).
   if (divisor_list_.empty()) {
@@ -48,16 +58,12 @@ Status NaiveDivisionOperator::Next(Tuple* tuple, bool* has_next) {
   while (current_valid_) {
     // Detect the start of a new quotient group.
     if (!in_group_) {
-      group_start_ = current_;
+      StartGroup();
       in_group_ = true;
-      group_done_ = false;
-      divisor_pos_ = 0;
     } else {
       ctx_->CountComparisons(1);
-      if (current_.CompareAt(quotient_attrs_, group_start_) != 0) {
-        group_start_ = current_;
-        group_done_ = false;
-        divisor_pos_ = 0;
+      if (current_.CompareAtAgainstWhole(quotient_attrs_, group_key_) != 0) {
+        StartGroup();
       }
     }
 
@@ -84,14 +90,15 @@ Status NaiveDivisionOperator::Next(Tuple* tuple, bool* has_next) {
       continue;
     }
     // Match: advance both scans (the deviation from nested-loops join the
-    // paper points out).
+    // paper points out). Reaching the end of the divisor list qualifies the
+    // group; its quotient tuple is projected from the matching tuple before
+    // the dividend advances past it.
     divisor_pos_++;
-    Tuple matched = current_;
+    const bool qualifies = divisor_pos_ == divisor_list_.size();
+    if (qualifies) *tuple = current_.Project(quotient_attrs_);
     RELDIV_RETURN_NOT_OK(AdvanceDividend());
-    if (divisor_pos_ == divisor_list_.size()) {
-      // End of the divisor list reached: this group qualifies.
+    if (qualifies) {
       group_done_ = true;
-      *tuple = matched.Project(quotient_attrs_);
       *has_next = true;
       return Status::OK();
     }

@@ -36,6 +36,9 @@ class NaiveDivisionOperator : public Operator {
 
  private:
   Status AdvanceDividend();
+  /// Opens the quotient group of `current_`: records its key, restarts the
+  /// divisor list.
+  void StartGroup();
 
   ExecContext* ctx_;
   std::unique_ptr<Operator> dividend_;
@@ -47,7 +50,7 @@ class NaiveDivisionOperator : public Operator {
   std::vector<Tuple> divisor_list_;
   Tuple current_;
   bool current_valid_ = false;
-  Tuple group_start_;     ///< representative of the current quotient group
+  Tuple group_key_;       ///< quotient attributes of the current group
   bool in_group_ = false;
   size_t divisor_pos_ = 0;
   bool group_done_ = false;  ///< group emitted or failed; skip to next group

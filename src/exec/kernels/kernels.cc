@@ -373,36 +373,5 @@ bool ExtractInt64Column(const TupleBatch& batch, size_t col,
   return true;
 }
 
-// --- Normalized sort keys ---------------------------------------------------
-
-uint64_t NormalizedKey(const Value& v) {
-  // Type tag in the top two bits (Value::Compare orders by tag first), the
-  // payload's high 62 bits below. Codes must never order two values the
-  // full comparison would not: int64 uses the sign-flipped bijection;
-  // double collapses to one code (NaN makes any prefix unsafe); strings use
-  // their first eight bytes big-endian, so a byte-wise code difference
-  // agrees with std::string order and every prefix tie falls back.
-  const uint64_t tag = static_cast<uint64_t>(v.type());
-  uint64_t payload = 0;
-  switch (v.type()) {
-    case ValueType::kInt64:
-      payload = static_cast<uint64_t>(v.int64()) ^ (uint64_t{1} << 63);
-      break;
-    case ValueType::kDouble:
-      payload = 0;
-      break;
-    case ValueType::kString: {
-      const std::string& s = v.string_value();
-      const size_t take = s.size() < 8 ? s.size() : 8;
-      for (size_t i = 0; i < take; ++i) {
-        payload |= static_cast<uint64_t>(static_cast<unsigned char>(s[i]))
-                   << (56 - 8 * i);
-      }
-      break;
-    }
-  }
-  return (tag << 62) | (payload >> 2);
-}
-
 }  // namespace kernels
 }  // namespace reldiv

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/hash.h"
+#include "common/row_codec.h"
 #include "common/tuple.h"
 #include "common/value.h"
 #include "exec/batch.h"
@@ -116,17 +117,46 @@ bool ExtractInt64Column(const TupleBatch& batch, size_t col,
 
 // --- Normalized sort keys (offset-value-code style) --------------------------
 
-/// Order-preserving 64-bit code of a value, memoized by the sort family so
-/// most comparisons resolve on one integer compare (Do/Graefe/Naughton's
-/// normalized-key technique):
+/// Order-preserving 64-bit key word of one RowCodec-encoded field of type
+/// `type` (`field` points at the field's bytes), memoized by the sort so
+/// most comparisons resolve on integer compares (Do/Graefe/Naughton's
+/// normalized-key technique). Within one column (one type):
 ///
 ///   NormalizedKey(a) <  NormalizedKey(b)  =>  a.Compare(b) < 0
-///   NormalizedKey(a) == NormalizedKey(b)  =>  nothing — caller falls back
-///                                             to the full comparison.
+///   NormalizedKey(a) == NormalizedKey(b)  =>  for int64, a == b (exact);
+///                                             otherwise nothing — the
+///                                             caller compares the fields.
 ///
-/// Doubles always map to one code (their NaN ordering is not total, so no
-/// prefix is safe); strings contribute their first eight bytes big-endian.
-uint64_t NormalizedKey(const Value& v);
+/// int64 maps through the sign-flipped bijection; doubles always map to one
+/// word (their NaN ordering is not total, so no prefix is safe); strings
+/// contribute their first eight bytes big-endian, zero-padded.
+/// Inline: computed once per row the sort encodes or reads back.
+inline uint64_t NormalizedKey(ValueType type, const char* field) {
+  // Words are compared only within one column, so no type tag is needed and
+  // every payload bit is kept. Words must never order two values the full
+  // comparison would not: int64 uses the sign-flipped bijection (so equal
+  // words mean equal values); double collapses to one word (NaN makes any
+  // prefix unsafe); strings use their first eight bytes big-endian, so a
+  // byte-wise word difference agrees with std::string order and every
+  // prefix tie falls back.
+  switch (type) {
+    case ValueType::kInt64:
+      return RowCodec::LoadU64(field) ^ (uint64_t{1} << 63);
+    case ValueType::kDouble:
+      return 0;
+    case ValueType::kString: {
+      const uint32_t len = RowCodec::LoadU32(field);
+      const size_t take = len < 8 ? len : 8;
+      uint64_t word = 0;
+      for (size_t i = 0; i < take; ++i) {
+        word |= static_cast<uint64_t>(static_cast<unsigned char>(field[4 + i]))
+                << (56 - 8 * i);
+      }
+      return word;
+    }
+  }
+  return 0;
+}
 
 }  // namespace kernels
 }  // namespace reldiv

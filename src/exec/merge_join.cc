@@ -68,7 +68,10 @@ Status MergeJoinOperator::Next(Tuple* tuple, bool* has_next) {
       } else if (c > 0) {
         RELDIV_RETURN_NOT_OK(AdvanceRight());
       } else {
-        *tuple = left_tuple_;
+        // AdvanceLeft() overwrites left_tuple_: hand it over instead of
+        // copying. A swap, so the next left tuple is decoded into the
+        // caller's old buffer rather than a fresh allocation.
+        std::swap(*tuple, left_tuple_);
         RELDIV_RETURN_NOT_OK(AdvanceLeft());
         *has_next = true;
         return Status::OK();

@@ -12,15 +12,54 @@ namespace reldiv {
 
 namespace {
 
-/// Tuple memory estimate used for sort-space accounting.
-size_t EstimateTupleBytes(const Tuple& tuple) {
-  size_t bytes = 24 + 16 * tuple.size();
-  for (size_t i = 0; i < tuple.size(); ++i) {
-    if (tuple.value(i).type() == ValueType::kString) {
-      bytes += tuple.value(i).string_value().size();
+Schema WorkingSchema(const Schema& input, const SortSpec& spec) {
+  if (!spec.group_count.has_value()) return input;
+  std::vector<Field> fields = input.Project(*spec.group_count).fields();
+  fields.push_back(Field{"count", ValueType::kInt64});
+  return Schema(std::move(fields));
+}
+
+/// `spec` with what group_count implies filled in: the group columns
+/// [0, n) of the working row are the keys, and equal keys collapse.
+SortSpec Normalized(SortSpec spec) {
+  if (spec.group_count.has_value()) {
+    spec.keys.resize(spec.group_count->size());
+    for (size_t i = 0; i < spec.keys.size(); ++i) spec.keys[i] = i;
+    spec.collapse_equal_keys = true;
+  }
+  return spec;
+}
+
+/// Three-way comparison of two encoded fields of one type, with
+/// Value::Compare's semantics (doubles by < and >, strings byte-wise as
+/// unsigned chars, then by length).
+int CompareFields(ValueType type, const char* a, const char* b) {
+  switch (type) {
+    case ValueType::kInt64: {
+      const auto x = static_cast<int64_t>(RowCodec::LoadU64(a));
+      const auto y = static_cast<int64_t>(RowCodec::LoadU64(b));
+      return x < y ? -1 : (x > y ? 1 : 0);
+    }
+    case ValueType::kDouble: {
+      const uint64_t xb = RowCodec::LoadU64(a);
+      const uint64_t yb = RowCodec::LoadU64(b);
+      double x;
+      double y;
+      std::memcpy(&x, &xb, sizeof(x));
+      std::memcpy(&y, &yb, sizeof(y));
+      if (x < y) return -1;
+      if (x > y) return 1;
+      return 0;
+    }
+    case ValueType::kString: {
+      const uint32_t la = RowCodec::LoadU32(a);
+      const uint32_t lb = RowCodec::LoadU32(b);
+      const int c = std::memcmp(a + 4, b + 4, la < lb ? la : lb);
+      if (c != 0) return c < 0 ? -1 : 1;
+      return la < lb ? -1 : (la > lb ? 1 : 0);
     }
   }
-  return bytes;
+  return 0;
 }
 
 }  // namespace
@@ -166,311 +205,376 @@ class SortOperator::RunReader {
   uint64_t segment_offset_ = 0;
 };
 
+/// K-way merge of sorted runs: a binary heap of {key words, input}, the
+/// older run winning key ties. Each input holds its head row encoded; the
+/// heap compares through the key words and those bytes.
+class SortOperator::Merge {
+ public:
+  explicit Merge(const SortOperator* sort) : sort_(sort) {}
+
+  /// Opens a reader on each run and seeds the heap with its first row.
+  Status Open(const std::vector<const Run*>& runs) {
+    inputs_.resize(runs.size());
+    for (size_t i = 0; i < runs.size(); ++i) {
+      inputs_[i].reader =
+          std::make_unique<RunReader>(sort_->ctx_->disk(), runs[i]);
+    }
+    for (size_t i = 0; i < inputs_.size(); ++i) {
+      RELDIV_RETURN_NOT_OK(Advance(i));
+    }
+    return Status::OK();
+  }
+
+  bool empty() const { return heap_.empty(); }
+
+  /// Pops the smallest head row, then refills the heap from that row's run
+  /// — the refill read comes before any use of the popped row, which fixes
+  /// the order of disk transfers. `*key` and `*row` stay valid until the
+  /// next Pop().
+  Status Pop(const uint64_t** key, Slice* row) {
+    const HeapEntry top = HeapPop();
+    Input& input = inputs_[top.input];
+    input.head ^= 1;  // the popped row stays in the other buffer
+    RELDIV_RETURN_NOT_OK(Advance(top.input));
+    std::copy(top.key, top.key + kInlineKeyWords, popped_key_);
+    *key = popped_key_;
+    *row = Slice(input.rows[input.head ^ 1]);
+    return Status::OK();
+  }
+
+ private:
+  struct Input {
+    std::unique_ptr<RunReader> reader;
+    /// rows[head] is the run's next row (in the heap); the other buffer
+    /// holds the row Pop() last returned from this run.
+    std::string rows[2];
+    int head = 0;
+    const char* head_row() const { return rows[head].data(); }
+  };
+  struct HeapEntry {
+    uint64_t key[kInlineKeyWords];
+    size_t input;
+  };
+
+  /// Reads input `i`'s next row into its head and pushes it.
+  Status Advance(size_t i) {
+    Input& input = inputs_[i];
+    bool has = false;
+    RELDIV_RETURN_NOT_OK(input.reader->Next(&input.rows[input.head], &has));
+    if (has) {
+      HeapEntry entry;
+      entry.input = i;
+      sort_->FillKey(input.head_row(), entry.key);
+      HeapPush(entry);
+    }
+    return Status::OK();
+  }
+
+  bool HeapLess(const HeapEntry& a, const HeapEntry& b) const {
+    const int c =
+        sort_->CompareRowsOn(sort_->ctx_, a.key, inputs_[a.input].head_row(),
+                             b.key, inputs_[b.input].head_row());
+    if (c != 0) return c < 0;
+    return a.input < b.input;  // stable across runs: older run first
+  }
+
+  void HeapPush(const HeapEntry& entry) {
+    heap_.push_back(entry);
+    size_t i = heap_.size() - 1;
+    while (i > 0) {
+      size_t parent = (i - 1) / 2;
+      if (!HeapLess(heap_[i], heap_[parent])) break;
+      std::swap(heap_[i], heap_[parent]);
+      i = parent;
+    }
+  }
+
+  HeapEntry HeapPop() {
+    const HeapEntry top = heap_.front();
+    heap_.front() = heap_.back();
+    heap_.pop_back();
+    size_t i = 0;
+    while (true) {
+      const size_t l = 2 * i + 1;
+      const size_t r = 2 * i + 2;
+      size_t smallest = i;
+      if (l < heap_.size() && HeapLess(heap_[l], heap_[smallest])) {
+        smallest = l;
+      }
+      if (r < heap_.size() && HeapLess(heap_[r], heap_[smallest])) {
+        smallest = r;
+      }
+      if (smallest == i) break;
+      std::swap(heap_[i], heap_[smallest]);
+      i = smallest;
+    }
+    return top;
+  }
+
+  const SortOperator* sort_;
+  std::vector<Input> inputs_;
+  std::vector<HeapEntry> heap_;
+  uint64_t popped_key_[kInlineKeyWords] = {};
+};
+
 SortOperator::SortOperator(ExecContext* ctx, std::unique_ptr<Operator> child,
                            SortSpec spec)
     : ctx_(ctx),
       child_(std::move(child)),
-      spec_(std::move(spec)),
-      working_schema_(spec_.lifted_schema.has_value()
-                          ? *spec_.lifted_schema
-                          : child_->output_schema()),
+      spec_(Normalized(std::move(spec))),
+      working_schema_(WorkingSchema(child_->output_schema(), spec_)),
       codec_(working_schema_),
       max_fan_in_(
-          std::max<size_t>(2, ctx_->sort_space_bytes() / kSortRunBlockSize)) {}
+          std::max<size_t>(2, ctx_->sort_space_bytes() / kSortRunBlockSize)) {
+  if (spec_.group_count.has_value()) {
+    group_codec_.emplace(child_->output_schema().Project(*spec_.group_count));
+  }
+  // Sort-space charge of a working row: what the boxed tuple it replaces
+  // was estimated at (24-byte header, 16 bytes per value, plus string
+  // bytes). Encoded, each numeric field takes 8 bytes and each string 4
+  // plus its bytes, so the charge is this base plus the encoded size.
+  estimate_base_ = 24;
+  std::vector<size_t> field_offsets;
+  size_t offset = 0;
+  for (const Field& field : working_schema_.fields()) {
+    field_types_.push_back(field.type);
+    field_offsets.push_back(offset);
+    const bool is_string = field.type == ValueType::kString;
+    estimate_base_ += 16 - (is_string ? 4 : 8);
+    if (offset != kVariableOffset) offset = is_string ? kVariableOffset
+                                                      : offset + 8;
+  }
+  words_decide_ = spec_.keys.size() <= kInlineKeyWords;
+  for (size_t field : spec_.keys) {
+    key_columns_.push_back(
+        KeyColumn{field, field_types_[field], field_offsets[field]});
+    words_decide_ = words_decide_ && field_types_[field] == ValueType::kInt64;
+  }
+}
 
 SortOperator::~SortOperator() = default;
 
-int SortOperator::CompareKeys(const Tuple& a, const Tuple& b) const {
-  return CompareKeysOn(ctx_, a, b);
-}
-
-int SortOperator::CompareKeysOn(ExecContext* ctx, const Tuple& a,
-                                const Tuple& b) const {
-  ctx->CountComparisons(1);
-  return a.CompareAt(spec_.keys, b);
-}
-
-uint64_t SortOperator::KeyCode(const Tuple& t) const {
-  return spec_.keys.empty() ? 0 : kernels::NormalizedKey(t.value(spec_.keys[0]));
-}
-
-int SortOperator::CompareCodedOn(ExecContext* ctx, uint64_t code_a,
-                                 const Tuple& a, uint64_t code_b,
-                                 const Tuple& b) const {
-  ctx->CountComparisons(1);
-  if (code_a != code_b) return code_a < code_b ? -1 : 1;
-  return a.CompareAt(spec_.keys, b);
-}
-
-void SortOperator::Combine(Tuple* acc, const Tuple& next) const {
-  if (spec_.merge) {
-    spec_.merge(acc, next);
+const char* SortOperator::FieldAt(const char* row,
+                                  const KeyColumn& column) const {
+  if (column.offset != kVariableOffset) return row + column.offset;
+  for (size_t i = 0; i < column.field; ++i) {
+    row += field_types_[i] == ValueType::kString ? 4 + RowCodec::LoadU32(row)
+                                                 : 8;
   }
-  // Default: keep the first tuple (duplicate elimination).
+  return row;
 }
 
-bool SortOperator::HeapLess(const HeapEntry& a, const HeapEntry& b) const {
-  const int c = CompareCodedOn(ctx_, a.code, a.tuple, b.code, b.tuple);
-  if (c != 0) return c < 0;
-  return a.reader < b.reader;  // stable across runs: older run first
-}
-
-void SortOperator::HeapPush(HeapEntry entry) {
-  heap_.push_back(std::move(entry));
-  size_t i = heap_.size() - 1;
-  while (i > 0) {
-    size_t parent = (i - 1) / 2;
-    if (!HeapLess(heap_[i], heap_[parent])) break;
-    std::swap(heap_[i], heap_[parent]);
-    i = parent;
+void SortOperator::FillKey(const char* row, uint64_t* key) const {
+  for (size_t k = 0; k < kInlineKeyWords; ++k) {
+    key[k] = k < key_columns_.size()
+                 ? kernels::NormalizedKey(key_columns_[k].type,
+                                          FieldAt(row, key_columns_[k]))
+                 : 0;
   }
 }
 
-SortOperator::HeapEntry SortOperator::HeapPop() {
-  HeapEntry top = std::move(heap_.front());
-  heap_.front() = std::move(heap_.back());
-  heap_.pop_back();
-  size_t i = 0;
-  while (true) {
-    const size_t l = 2 * i + 1;
-    const size_t r = 2 * i + 2;
-    size_t smallest = i;
-    if (l < heap_.size() && HeapLess(heap_[l], heap_[smallest])) smallest = l;
-    if (r < heap_.size() && HeapLess(heap_[r], heap_[smallest])) smallest = r;
-    if (smallest == i) break;
-    std::swap(heap_[i], heap_[smallest]);
-    i = smallest;
-  }
-  return top;
-}
-
-Status SortOperator::SortChunk(ExecContext* ctx,
-                               std::vector<Tuple>* chunk) const {
-  // Normalized-key quicksort (Do/Graefe/Naughton): each tuple's first sort
-  // key is encoded once into an order-preserving code, and most comparisons
-  // resolve on one integer compare; only code-equal pairs pay the full key
-  // comparison. CompareCodedOn is extensionally equal to CompareKeysOn and
-  // counts identically, so the sort's decision sequence, the run contents,
-  // and the Comp totals are those of the uncoded sort.
-  struct Keyed {
-    uint64_t code;
-    Tuple tuple;
-  };
-  std::vector<Keyed> keyed;
-  keyed.reserve(chunk->size());
-  for (Tuple& tuple : *chunk) {
-    const uint64_t code = KeyCode(tuple);
-    keyed.push_back(Keyed{code, std::move(tuple)});
-  }
-  std::sort(keyed.begin(), keyed.end(),
-            [this, ctx](const Keyed& a, const Keyed& b) {
-              return CompareCodedOn(ctx, a.code, a.tuple, b.code, b.tuple) < 0;
-            });
-  if (spec_.collapse_equal_keys && !keyed.empty()) {
-    // Combine each equal-key group down to one tuple, in stream. Comparison
-    // pattern: every tuple is compared once against its group's accumulator
-    // (the group-closing mismatch included), matching the merge paths'
-    // counting.
-    std::vector<Keyed> collapsed;
-    collapsed.reserve(keyed.size());
-    for (size_t i = 0; i < keyed.size(); ++i) {
-      if (i + 1 < keyed.size()) {
-        Keyed acc = std::move(keyed[i]);
-        size_t j = i + 1;
-        while (j < keyed.size() &&
-               CompareCodedOn(ctx, acc.code, acc.tuple, keyed[j].code,
-                              keyed[j].tuple) == 0) {
-          Combine(&acc.tuple, keyed[j].tuple);
-          j++;
-        }
-        i = j - 1;
-        collapsed.push_back(std::move(acc));
-      } else {
-        collapsed.push_back(std::move(keyed[i]));
-      }
+int SortOperator::CompareRows(const uint64_t* key_a, const char* row_a,
+                              const uint64_t* key_b,
+                              const char* row_b) const {
+  for (size_t k = 0; k < key_columns_.size(); ++k) {
+    const KeyColumn& column = key_columns_[k];
+    if (k < kInlineKeyWords) {
+      if (key_a[k] != key_b[k]) return key_a[k] < key_b[k] ? -1 : 1;
+      if (column.type == ValueType::kInt64) continue;  // exact word
     }
-    keyed = std::move(collapsed);
+    const int c = CompareFields(column.type, FieldAt(row_a, column),
+                                FieldAt(row_b, column));
+    if (c != 0) return c;
   }
-  chunk->clear();
-  for (Keyed& k : keyed) chunk->push_back(std::move(k.tuple));
+  return 0;
+}
+
+void SortOperator::Combine(char* acc, uint32_t acc_size, const char* next,
+                           uint32_t next_size) const {
+  if (!spec_.group_count.has_value()) return;  // keep the first row
+  // The count is the working row's last field.
+  char* count = acc + acc_size - 8;
+  RowCodec::StoreU64(
+      RowCodec::LoadU64(count) + RowCodec::LoadU64(next + next_size - 8),
+      count);
+}
+
+Status SortOperator::AppendRow(const Tuple& input, Chunk* chunk) const {
+  std::string& arena = chunk->arena;
+  const size_t start = arena.size();
+  arena.append(4, '\0');  // the row size, filled in below
+  if (group_codec_.has_value()) {
+    RELDIV_RETURN_NOT_OK(
+        group_codec_->EncodeColumns(input, *spec_.group_count, &arena));
+    RowCodec::PutInt64(1, &arena);
+  } else {
+    RELDIV_RETURN_NOT_OK(codec_.Encode(input, &arena));
+  }
+  const auto size = static_cast<uint32_t>(arena.size() - start - 4);
+  std::memcpy(&arena[start], &size, 4);
+  chunk->estimated_bytes += estimate_base_ + size;
+  SortRecord record;
+  record.offset = start;
+  FillKey(arena.data() + start + 4, record.key);
+  chunk->records.push_back(record);
   return Status::OK();
 }
 
-Status SortOperator::WriteSortedRun(std::vector<Tuple>* chunk) {
+void SortOperator::SortChunk(ExecContext* ctx, Chunk* chunk) const {
+  // Normalized-key quicksort (Do/Graefe/Naughton): each row's key words
+  // were computed once at encode time, and most comparisons resolve on
+  // them. CompareRowsOn is extensionally equal to Tuple::CompareAt and
+  // counts one Comp per call, so with the records in input order the sort's
+  // decision sequence, the run contents and the Comp totals are those of a
+  // boxed-tuple sort.
+  std::vector<SortRecord>& records = chunk->records;
+  std::sort(records.begin(), records.end(),
+            [this, ctx, chunk](const SortRecord& a, const SortRecord& b) {
+              return CompareRowsOn(ctx, a.key, chunk->row(a), b.key,
+                                   chunk->row(b)) < 0;
+            });
+  if (!spec_.collapse_equal_keys) return;
+  // Combine each equal-key group down to its first record, in stream. Every
+  // record is compared once against its group's accumulator (the
+  // group-closing mismatch included), matching the merge paths' counting.
+  size_t out = 0;
+  for (size_t i = 0; i < records.size();) {
+    const SortRecord acc = records[i];
+    char* acc_row = chunk->arena.data() + acc.offset + 4;
+    size_t j = i + 1;
+    while (j < records.size() &&
+           CompareRowsOn(ctx, acc.key, acc_row, records[j].key,
+                         chunk->row(records[j])) == 0) {
+      Combine(acc_row, chunk->row_size(acc), chunk->row(records[j]),
+              chunk->row_size(records[j]));
+      j++;
+    }
+    records[out++] = acc;
+    i = j;
+  }
+  records.resize(out);
+}
+
+Status SortOperator::WriteSortedRun(const Chunk& chunk) {
   auto run = std::make_unique<Run>(ctx_->disk());
-  std::string encoded;
-  for (const Tuple& tuple : *chunk) {
-    encoded.clear();
-    RELDIV_RETURN_NOT_OK(codec_.Encode(tuple, &encoded));
-    RELDIV_RETURN_NOT_OK(run->Append(Slice(encoded)));
-    ctx_->CountMoveBytes(encoded.size());
+  for (const SortRecord& record : chunk.records) {
+    const uint32_t size = chunk.row_size(record);
+    RELDIV_RETURN_NOT_OK(run->Append(Slice(chunk.row(record), size)));
+    ctx_->CountMoveBytes(size);
   }
   RELDIV_RETURN_NOT_OK(run->Finish());
   runs_.push_back(std::move(run));
-  chunk->clear();
   return Status::OK();
 }
 
-Status SortOperator::FlushChunkWindow(
-    std::vector<std::vector<Tuple>>* window) {
-  if (window->empty()) return Status::OK();
-  const size_t num_chunks = window->size();
+Status SortOperator::FlushChunkWindow(size_t count) {
+  if (count == 0) return Status::OK();
   // Chunk contents were fixed by the sort-space accounting in Open(); only
   // the sorting of the chunks held in this window runs concurrently. Runs
   // are written below, serially and in chunk order, so the on-disk layout
   // never depends on the worker count.
-  FragmentContexts fragment_ctxs(ctx_, num_chunks);
+  FragmentContexts fragment_ctxs(ctx_, count);
   Status status = TaskScheduler::Global().ParallelFor(
-      std::min(ctx_->dop(), num_chunks), num_chunks, [&](size_t i) -> Status {
-        return SortChunk(fragment_ctxs.fragment(i), &(*window)[i]);
+      std::min(ctx_->dop(), count), count, [&](size_t i) -> Status {
+        SortChunk(fragment_ctxs.fragment(i), &chunks_[i]);
+        return Status::OK();
       });
   fragment_ctxs.MergeInto(ctx_);
   RELDIV_RETURN_NOT_OK(status);
-  for (std::vector<Tuple>& chunk : *window) {
-    RELDIV_RETURN_NOT_OK(WriteSortedRun(&chunk));
+  for (size_t i = 0; i < count; ++i) {
+    RELDIV_RETURN_NOT_OK(WriteSortedRun(chunks_[i]));
     initial_runs_++;
+    chunks_[i].Clear();
   }
-  window->clear();
   return Status::OK();
 }
 
 Status SortOperator::MergeRuns(std::vector<std::unique_ptr<Run>> inputs) {
-  std::vector<std::unique_ptr<RunReader>> readers;
-  readers.reserve(inputs.size());
-  for (const auto& run : inputs) {
-    readers.push_back(std::make_unique<RunReader>(ctx_->disk(), run.get()));
-  }
-  std::vector<HeapEntry> saved_heap;
-  std::swap(saved_heap, heap_);
-
-  std::string record;
-  for (size_t i = 0; i < readers.size(); ++i) {
-    bool has = false;
-    RELDIV_RETURN_NOT_OK(readers[i]->Next(&record, &has));
-    if (!has) continue;
-    HeapEntry entry;
-    entry.reader = i;
-    RELDIV_RETURN_NOT_OK(codec_.Decode(Slice(record), &entry.tuple));
-    entry.code = KeyCode(entry.tuple);
-    HeapPush(std::move(entry));
-  }
+  std::vector<const Run*> runs;
+  runs.reserve(inputs.size());
+  for (const auto& run : inputs) runs.push_back(run.get());
+  Merge merge(this);
+  RELDIV_RETURN_NOT_OK(merge.Open(runs));
 
   auto output = std::make_unique<Run>(ctx_->disk());
-  std::string encoded;
-  bool have_acc = false;
-  Tuple acc;
-  uint64_t acc_code = 0;
-  auto flush_acc = [&]() -> Status {
-    if (!have_acc) return Status::OK();
-    encoded.clear();
-    RELDIV_RETURN_NOT_OK(codec_.Encode(acc, &encoded));
-    ctx_->CountMoveBytes(encoded.size());
-    return output->Append(Slice(encoded));
+  auto append = [&](Slice row) -> Status {
+    ctx_->CountMoveBytes(row.size());
+    return output->Append(row);
   };
-
-  while (!heap_.empty()) {
-    HeapEntry top = HeapPop();
-    bool has = false;
-    RELDIV_RETURN_NOT_OK(readers[top.reader]->Next(&record, &has));
-    if (has) {
-      HeapEntry refill;
-      refill.reader = top.reader;
-      RELDIV_RETURN_NOT_OK(codec_.Decode(Slice(record), &refill.tuple));
-      refill.code = KeyCode(refill.tuple);
-      HeapPush(std::move(refill));
+  bool have_acc = false;
+  std::string acc;
+  uint64_t acc_key[kInlineKeyWords] = {};
+  while (!merge.empty()) {
+    const uint64_t* key = nullptr;
+    Slice row;
+    RELDIV_RETURN_NOT_OK(merge.Pop(&key, &row));
+    if (!spec_.collapse_equal_keys) {
+      RELDIV_RETURN_NOT_OK(append(row));
+      continue;
     }
-    if (spec_.collapse_equal_keys) {
-      if (have_acc &&
-          CompareCodedOn(ctx_, acc_code, acc, top.code, top.tuple) == 0) {
-        Combine(&acc, top.tuple);
-      } else {
-        RELDIV_RETURN_NOT_OK(flush_acc());
-        acc = std::move(top.tuple);
-        acc_code = top.code;
-        have_acc = true;
-      }
-    } else {
-      encoded.clear();
-      RELDIV_RETURN_NOT_OK(codec_.Encode(top.tuple, &encoded));
-      ctx_->CountMoveBytes(encoded.size());
-      RELDIV_RETURN_NOT_OK(output->Append(Slice(encoded)));
+    if (have_acc &&
+        CompareRowsOn(ctx_, acc_key, acc.data(), key, row.data()) == 0) {
+      Combine(acc.data(), static_cast<uint32_t>(acc.size()), row.data(),
+              static_cast<uint32_t>(row.size()));
+      continue;
     }
+    if (have_acc) RELDIV_RETURN_NOT_OK(append(Slice(acc)));
+    acc.assign(row.data(), row.size());
+    std::copy(key, key + kInlineKeyWords, acc_key);
+    have_acc = true;
   }
-  RELDIV_RETURN_NOT_OK(flush_acc());
+  if (have_acc) RELDIV_RETURN_NOT_OK(append(Slice(acc)));
   RELDIV_RETURN_NOT_OK(output->Finish());
-
-  std::swap(saved_heap, heap_);
   runs_.push_back(std::move(output));
-  return Status::OK();
-}
-
-Status SortOperator::OpenFinalMerge() {
-  final_readers_.clear();
-  heap_.clear();
-  std::string record;
-  for (size_t i = 0; i < runs_.size(); ++i) {
-    final_readers_.push_back(
-        std::make_unique<RunReader>(ctx_->disk(), runs_[i].get()));
-    bool has = false;
-    RELDIV_RETURN_NOT_OK(final_readers_[i]->Next(&record, &has));
-    if (!has) continue;
-    HeapEntry entry;
-    entry.reader = i;
-    RELDIV_RETURN_NOT_OK(codec_.Decode(Slice(record), &entry.tuple));
-    entry.code = KeyCode(entry.tuple);
-    HeapPush(std::move(entry));
-  }
   return Status::OK();
 }
 
 Status SortOperator::Open() {
   RELDIV_RETURN_NOT_OK(child_->Open());
   child_open_ = true;
+  in_memory_ = false;
+  memory_pos_ = 0;
+  initial_runs_ = 0;
+  intermediate_merges_ = 0;
+  final_merge_.reset();
 
-  std::vector<Tuple> batch;
-  size_t batch_bytes = 0;
-  bool input_exhausted = false;
-  bool first_batch = true;
-  // Spilled chunks awaiting sort + run write; flushed whenever dop chunks
-  // have accumulated, so at most dop sort spaces are held at once.
-  std::vector<std::vector<Tuple>> window;
-
-  while (!input_exhausted) {
-    Tuple raw;
-    bool has = false;
-    RELDIV_RETURN_NOT_OK(child_->Next(&raw, &has));
-    if (!has) {
-      input_exhausted = true;
-    } else {
-      Tuple working = spec_.lift ? spec_.lift(raw) : std::move(raw);
-      batch_bytes += EstimateTupleBytes(working);
-      batch.push_back(std::move(working));
-    }
-    const bool batch_full = batch_bytes >= ctx_->sort_space_bytes();
-    if ((input_exhausted || batch_full) && (!batch.empty() || first_batch)) {
-      if (first_batch && input_exhausted) {
-        // Whole input fits in the sort space: the normalized-key in-memory
-        // sort (+ collapse), no I/O. SortChunk's collapse compares every
-        // tuple once against its group's accumulator — the same count as
-        // the adjacent-pair loop this path used before the kernelization.
-        RELDIV_RETURN_NOT_OK(SortChunk(ctx_, &batch));
-        memory_tuples_ = std::move(batch);
-        in_memory_ = true;
-        memory_pos_ = 0;
-        break;
+  // A batch-native child fills batches of the session capacity exactly as
+  // its own tuple adapter would, so draining it by batch reads nothing
+  // earlier. Any other child would run ahead behind the base adapter — a
+  // merge join over sorted runs would read those runs before this sort's
+  // run writes and shift the disk's seeks — so it is pulled one tuple per
+  // call.
+  TupleBatch input(child_->IsBatchNative() ? ctx_->batch_capacity() : 1);
+  // Chunks [0, window) are full and await sort + run write; they are
+  // flushed whenever dop chunks have accumulated, so at most dop sort
+  // spaces are held at once.
+  size_t window = 0;
+  bool spilled = false;
+  if (chunks_.empty()) chunks_.emplace_back();
+  bool more = true;
+  while (more) {
+    RELDIV_RETURN_NOT_OK(child_->NextBatch(&input, &more));
+    for (size_t i = 0; i < input.size(); ++i) {
+      Chunk& chunk = chunks_[window];
+      RELDIV_RETURN_NOT_OK(AppendRow(input.tuple(i), &chunk));
+      if (chunk.estimated_bytes < ctx_->sort_space_bytes()) continue;
+      spilled = true;
+      if (++window >= ctx_->dop()) {
+        RELDIV_RETURN_NOT_OK(FlushChunkWindow(window));
+        window = 0;
       }
-      if (!batch.empty()) {
-        window.push_back(std::move(batch));
-        batch.clear();
-        batch_bytes = 0;
-        if (window.size() >= ctx_->dop()) {
-          RELDIV_RETURN_NOT_OK(FlushChunkWindow(&window));
-        }
-      }
-      first_batch = false;
+      if (window == chunks_.size()) chunks_.emplace_back();
     }
   }
-  RELDIV_RETURN_NOT_OK(FlushChunkWindow(&window));
+  if (spilled) {
+    if (!chunks_[window].records.empty()) window++;
+    RELDIV_RETURN_NOT_OK(FlushChunkWindow(window));
+  } else {
+    // Whole input fits in the sort space: the in-memory sort (+ collapse),
+    // no I/O.
+    SortChunk(ctx_, &chunks_[0]);
+    in_memory_ = true;
+  }
   // One Close() attempt settles the debt even if it fails — a second call
   // on an already-failed child is not owed anything.
   child_open_ = false;
@@ -488,82 +592,70 @@ Status SortOperator::Open() {
       RELDIV_RETURN_NOT_OK(MergeRuns(std::move(group)));
       intermediate_merges_++;
     }
-    RELDIV_RETURN_NOT_OK(OpenFinalMerge());
+    std::vector<const Run*> runs;
+    runs.reserve(runs_.size());
+    for (const auto& run : runs_) runs.push_back(run.get());
+    final_merge_ = std::make_unique<Merge>(this);
+    RELDIV_RETURN_NOT_OK(final_merge_->Open(runs));
   }
   open_ = true;
   have_pending_ = false;
   return Status::OK();
 }
 
-Status SortOperator::RawMergeNext(Tuple* tuple, uint64_t* code,
-                                  bool* has_next) {
-  if (heap_.empty()) {
-    *has_next = false;
-    return Status::OK();
-  }
-  HeapEntry top = HeapPop();
-  std::string record;
-  bool has = false;
-  RELDIV_RETURN_NOT_OK(final_readers_[top.reader]->Next(&record, &has));
-  if (has) {
-    HeapEntry refill;
-    refill.reader = top.reader;
-    RELDIV_RETURN_NOT_OK(codec_.Decode(Slice(record), &refill.tuple));
-    refill.code = KeyCode(refill.tuple);
-    HeapPush(std::move(refill));
-  }
-  *tuple = std::move(top.tuple);
-  *code = top.code;
-  *has_next = true;
-  return Status::OK();
-}
-
 Status SortOperator::Next(Tuple* tuple, bool* has_next) {
   if (!open_) return Status::Internal("sort Next() before Open()");
   if (in_memory_) {
-    if (memory_pos_ >= memory_tuples_.size()) {
+    const Chunk& chunk = chunks_[0];
+    if (memory_pos_ >= chunk.records.size()) {
       *has_next = false;
       return Status::OK();
     }
-    *tuple = std::move(memory_tuples_[memory_pos_++]);
+    const SortRecord& record = chunk.records[memory_pos_++];
     *has_next = true;
-    return Status::OK();
+    return codec_.Decode(Slice(chunk.row(record), chunk.row_size(record)),
+                         tuple);
   }
+  // The final merge runs on demand, one merged row per call: a consumer
+  // that stops early (the merge semi-join once the divisor is exhausted)
+  // must not be charged merge comparisons for rows it never pulled.
+  const uint64_t* key = nullptr;
+  Slice row;
   if (!spec_.collapse_equal_keys) {
-    uint64_t code = 0;
-    return RawMergeNext(tuple, &code, has_next);
+    if (final_merge_->empty()) {
+      *has_next = false;
+      return Status::OK();
+    }
+    RELDIV_RETURN_NOT_OK(final_merge_->Pop(&key, &row));
+    *has_next = true;
+    return codec_.Decode(row, tuple);
   }
   // Group-collapse on the final merge output.
   while (true) {
-    Tuple next;
-    uint64_t next_code = 0;
-    bool has = false;
-    RELDIV_RETURN_NOT_OK(RawMergeNext(&next, &next_code, &has));
-    if (!has) {
-      if (have_pending_) {
-        *tuple = std::move(pending_);
-        have_pending_ = false;
-        *has_next = true;
-        return Status::OK();
-      }
-      *has_next = false;
+    if (final_merge_->empty()) {
+      *has_next = have_pending_;
+      if (!have_pending_) return Status::OK();
+      have_pending_ = false;
+      return codec_.Decode(Slice(pending_), tuple);
+    }
+    RELDIV_RETURN_NOT_OK(final_merge_->Pop(&key, &row));
+    if (have_pending_ && CompareRowsOn(ctx_, pending_key_, pending_.data(),
+                                       key, row.data()) == 0) {
+      Combine(pending_.data(), static_cast<uint32_t>(pending_.size()),
+              row.data(), static_cast<uint32_t>(row.size()));
+      continue;
+    }
+    const bool emit = have_pending_;
+    if (emit) {
+      RELDIV_RETURN_NOT_OK(codec_.Decode(Slice(pending_), tuple));
+    }
+    pending_.assign(row.data(), row.size());
+    std::copy(key, key + kInlineKeyWords, pending_key_);
+    have_pending_ = true;
+    if (emit) {
+      *has_next = true;
       return Status::OK();
     }
-    if (!have_pending_) {
-      pending_ = std::move(next);
-      pending_code_ = next_code;
-      have_pending_ = true;
-      continue;
-    }
-    if (CompareCodedOn(ctx_, pending_code_, pending_, next_code, next) == 0) {
-      Combine(&pending_, next);
-      continue;
-    }
-    *tuple = std::move(pending_);
-    pending_ = std::move(next);
-    pending_code_ = next_code;
-    *has_next = true;
-    return Status::OK();
   }
 }
 
@@ -575,10 +667,11 @@ Status SortOperator::Close() {
     child_open_ = false;
     status = child_->Close();
   }
-  memory_tuples_.clear();
-  final_readers_.clear();
-  heap_.clear();
+  chunks_.clear();
+  final_merge_.reset();
   runs_.clear();
+  pending_.clear();
+  have_pending_ = false;
   open_ = false;
   return status;
 }

@@ -294,25 +294,10 @@ Result<std::unique_ptr<Operator>> CompileNode(const LogicalNode& node,
       RELDIV_ASSIGN_OR_RETURN(std::unique_ptr<Operator> input,
                               CompileNode(node.child(0), state));
       if (state->options.engine == PhysicalEngine::kSortBased) {
-        // Aggregation during sorting (§2.2.1): lift each tuple to
-        // (group cols..., 1) and sum counts for equal keys.
+        // Aggregation during sorting (§2.2.1): (group cols..., count) rows
+        // whose counts add up on equal keys.
         SortSpec spec;
-        spec.keys.resize(gc.group_indices().size());
-        for (size_t i = 0; i < spec.keys.size(); ++i) spec.keys[i] = i;
-        spec.collapse_equal_keys = true;
-        const std::vector<size_t> group = gc.group_indices();
-        spec.lift = [group](const Tuple& t) {
-          Tuple lifted = t.Project(group);
-          lifted.Append(Value::Int64(1));
-          return lifted;
-        };
-        spec.lifted_schema = gc.output_schema();
-        const size_t count_col = group.size();
-        spec.merge = [count_col](Tuple* acc, const Tuple& next) {
-          acc->value(count_col) =
-              Value::Int64(acc->value(count_col).int64() +
-                           next.value(count_col).int64());
-        };
+        spec.group_count = gc.group_indices();
         return std::unique_ptr<Operator>(std::make_unique<SortOperator>(
             state->ctx, std::move(input), std::move(spec)));
       }

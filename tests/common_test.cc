@@ -1,5 +1,6 @@
 #include <set>
 #include <string>
+#include <vector>
 
 #include "common/bitmap.h"
 #include "common/check.h"
@@ -201,6 +202,56 @@ TEST(RowCodecTest, DetectsTrailingBytes) {
   encoded += "x";
   Tuple out;
   EXPECT_TRUE(codec.Decode(Slice(encoded), &out).IsCorruption());
+}
+
+TEST(RowCodecTest, EncodedSizeMatchesEncode) {
+  const Schema schema{Field{"i", ValueType::kInt64},
+                      Field{"d", ValueType::kDouble},
+                      Field{"s", ValueType::kString}};
+  const RowCodec codec(schema);
+  const std::vector<Tuple> rows = {
+      Tuple{Value::Int64(-1), Value::Double(0.5), Value::String("")},
+      Tuple{Value::Int64(7), Value::Double(-2.0), Value::String("abc")},
+      Tuple{Value::Int64(0), Value::Double(1e300),
+            Value::String(std::string(300, 'x'))},
+  };
+  for (const Tuple& row : rows) {
+    ASSERT_OK_AND_ASSIGN(std::string encoded, codec.EncodeToString(row));
+    ASSERT_OK_AND_ASSIGN(size_t size, codec.EncodedSize(row));
+    EXPECT_EQ(size, encoded.size()) << row.ToString();
+  }
+  const RowCodec ints(Schema{Field{"a", ValueType::kInt64},
+                             Field{"b", ValueType::kInt64}});
+  ASSERT_OK_AND_ASSIGN(size_t int_size, ints.EncodedSize(T(1, 2)));
+  EXPECT_EQ(int_size, 16u);
+}
+
+TEST(RowCodecTest, EncodedSizeRejectsWhatEncodeRejects) {
+  const RowCodec codec(Schema{Field{"i", ValueType::kInt64}});
+  EXPECT_TRUE(codec.EncodedSize(T(1, 2)).status().IsInvalidArgument());
+  EXPECT_TRUE(codec.EncodedSize(Tuple{}).status().IsInvalidArgument());
+  EXPECT_TRUE(codec.EncodedSize(Tuple{Value::String("x")})
+                  .status()
+                  .IsInvalidArgument());
+  EXPECT_TRUE(codec.EncodedSize(Tuple{Value::Double(1.0)})
+                  .status()
+                  .IsInvalidArgument());
+}
+
+TEST(RowCodecTest, EncodeColumnsEncodesAProjection) {
+  const RowCodec codec(Schema{Field{"s", ValueType::kString},
+                              Field{"i", ValueType::kInt64}});
+  const Tuple row{Value::Int64(5), Value::Double(1.5), Value::String("q")};
+  std::string projected;
+  ASSERT_OK(codec.EncodeColumns(row, {2, 0}, &projected));
+  ASSERT_OK_AND_ASSIGN(std::string direct,
+                       codec.EncodeToString(
+                           Tuple{Value::String("q"), Value::Int64(5)}));
+  EXPECT_EQ(projected, direct);
+  std::string buf;
+  EXPECT_TRUE(codec.EncodeColumns(row, {2}, &buf).IsInvalidArgument());
+  EXPECT_TRUE(codec.EncodeColumns(row, {2, 3}, &buf).IsInvalidArgument());
+  EXPECT_TRUE(codec.EncodeColumns(row, {0, 2}, &buf).IsInvalidArgument());
 }
 
 TEST(BitmapTest, SetTestAndAllSet) {

@@ -1,11 +1,15 @@
 #include "exec/kernels/kernels.h"
 
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/bitmap.h"
 #include "common/rng.h"
+#include "common/row_codec.h"
+#include "common/schema.h"
 #include "common/tuple.h"
 #include "common/value.h"
 #include "exec/batch.h"
@@ -277,56 +281,61 @@ TEST(KernelExtractTest, GathersAndRejects) {
 
 // --- Normalized sort keys --------------------------------------------------
 
+/// NormalizedKey of `v` as the sort computes it: over the value's
+/// RowCodec encoding in a one-column row.
+uint64_t KeyOf(const Value& v) {
+  const RowCodec codec(Schema{Field{"v", v.type()}});
+  std::string encoded;
+  EXPECT_TRUE(codec.Encode(Tuple{v}, &encoded).ok());
+  return NormalizedKey(v.type(), encoded.data());
+}
+
 TEST(KernelNormalizedKeyTest, OrderConsistentWithValueCompare) {
-  std::vector<Value> values = {
-      Value::Int64(std::numeric_limits<int64_t>::min()),
-      Value::Int64(-1),
-      Value::Int64(0),
-      Value::Int64(1),
-      Value::Int64(std::numeric_limits<int64_t>::max()),
-      Value::Double(-2.5),
-      Value::Double(0.0),
-      Value::Double(3.75),
-      Value::String(""),
-      Value::String("a"),
-      Value::String("ab"),
-      Value::String("abcdefghij"),  // beyond the 8-byte prefix
-      Value::String("abcdefghiz"),  // same prefix, different tail
-      Value::String("b"),
+  // Words are compared only within one column, i.e. between values of one
+  // type.
+  const std::vector<std::vector<Value>> columns = {
+      {Value::Int64(std::numeric_limits<int64_t>::min()), Value::Int64(-1),
+       Value::Int64(0), Value::Int64(1), Value::Int64(2),
+       Value::Int64(std::numeric_limits<int64_t>::max())},
+      {Value::Double(-2.5), Value::Double(-0.0), Value::Double(0.0),
+       Value::Double(3.75), Value::Double(std::nan(""))},
+      {Value::String(""), Value::String("a"), Value::String(std::string(1, '\0')),
+       Value::String("ab"),
+       Value::String("abcdefghij"),  // beyond the 8-byte prefix
+       Value::String("abcdefghiz"),  // same prefix, different tail
+       Value::String("b"), Value::String("\xff")},
   };
-  for (const Value& a : values) {
-    for (const Value& b : values) {
-      const uint64_t ka = NormalizedKey(a);
-      const uint64_t kb = NormalizedKey(b);
-      // The one-way invariant: code order implies value order. Equal codes
-      // promise nothing.
-      if (ka < kb) {
-        EXPECT_LT(a.Compare(b), 0)
-            << a.ToString() << " vs " << b.ToString();
-      } else if (ka > kb) {
-        EXPECT_GT(a.Compare(b), 0)
-            << a.ToString() << " vs " << b.ToString();
+  for (const std::vector<Value>& values : columns) {
+    for (const Value& a : values) {
+      for (const Value& b : values) {
+        const uint64_t ka = KeyOf(a);
+        const uint64_t kb = KeyOf(b);
+        // The one-way invariant: word order implies value order. Equal
+        // words promise nothing — except for int64, where they are exact.
+        if (ka < kb) {
+          EXPECT_LT(a.Compare(b), 0) << a.ToString() << " vs " << b.ToString();
+        } else if (ka > kb) {
+          EXPECT_GT(a.Compare(b), 0) << a.ToString() << " vs " << b.ToString();
+        } else if (a.type() == ValueType::kInt64) {
+          EXPECT_EQ(a.Compare(b), 0) << a.ToString() << " vs " << b.ToString();
+        }
       }
     }
   }
 }
 
 TEST(KernelNormalizedKeyTest, DistinguishesWhereSafe) {
-  // Not required for correctness, but the whole point of the codes: values
-  // separated by more than the two payload bits the type tag displaces must
-  // get distinct codes, or every comparison would fall back to the slow
-  // path.
-  EXPECT_NE(NormalizedKey(Value::Int64(0)), NormalizedKey(Value::Int64(4)));
-  EXPECT_NE(NormalizedKey(Value::Int64(-1000)),
-            NormalizedKey(Value::Int64(1000)));
-  EXPECT_NE(NormalizedKey(Value::String("a")),
-            NormalizedKey(Value::String("b")));
-  // Ints within the same 4-value quantum share a code (the tag costs two
-  // payload bits); the tie is broken by the full comparison.
-  EXPECT_EQ(NormalizedKey(Value::Int64(1)), NormalizedKey(Value::Int64(2)));
+  // int64 words are the exact sign-flipped value: neighbours differ, so
+  // int64 comparisons never fall back to the full comparison.
+  EXPECT_NE(KeyOf(Value::Int64(1)), KeyOf(Value::Int64(2)));
+  EXPECT_LT(KeyOf(Value::Int64(-1)), KeyOf(Value::Int64(0)));
+  EXPECT_LT(KeyOf(Value::Int64(-1000)), KeyOf(Value::Int64(1000)));
+  EXPECT_NE(KeyOf(Value::String("a")), KeyOf(Value::String("b")));
+  // Strings sharing their first eight bytes tie; the caller compares them.
+  EXPECT_EQ(KeyOf(Value::String("abcdefghij")),
+            KeyOf(Value::String("abcdefghiz")));
   // Doubles deliberately collapse (NaN makes any prefix unsafe).
-  EXPECT_EQ(NormalizedKey(Value::Double(1.0)),
-            NormalizedKey(Value::Double(2.0)));
+  EXPECT_EQ(KeyOf(Value::Double(1.0)), KeyOf(Value::Double(2.0)));
 }
 
 TEST(KernelLevelTest, DispatchIsResolved) {

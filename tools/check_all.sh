@@ -33,7 +33,9 @@
 #   kernels                    (scalar vs SIMD batch kernels, both
 #                               sanitizers, worker counts 1/4/8)
 #   parallel                   (the division property + lane-equivalence +
-#                               scheduler suites at RELDIV_THREADS=1,4,8
+#                               scheduler suites, and the sort suite whose
+#                               golden cases sort chunk windows concurrently
+#                               on the scheduler, at RELDIV_THREADS=1,4,8
 #                               under the TSan build: every worker count
 #                               must produce bit-identical quotients and
 #                               Table 1 counters, race-free — DESIGN.md §11)
@@ -227,13 +229,14 @@ if [[ "$QUICK" == "0" ]]; then
   # Parallel stage: the lane-equivalence contract (DESIGN.md §11) says the
   # worker count must never change a quotient or a Table 1 counter total.
   # Sweep the scheduler's default dop across the interesting worker counts
-  # with TSan watching the morsel traffic.
+  # with TSan watching the morsel traffic (sort_test: the external sort's
+  # chunk windows).
   parallel_stage() {
     local threads rc=0
     for threads in 1 4 8; do
       echo "-- parallel suites under tsan, RELDIV_THREADS=$threads"
       RELDIV_THREADS="$threads" ctest --preset tsan \
-        -R '(division_property_test|intra_parallel_test|scheduler_test)' \
+        -R '(division_property_test|intra_parallel_test|scheduler_test|sort_test)' \
         || rc=1
     done
     return "$rc"
